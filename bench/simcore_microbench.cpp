@@ -8,6 +8,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <functional>
 #include <utility>
 #include <vector>
@@ -150,6 +151,40 @@ BM_ResourceCalendarAcquire(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_ResourceCalendarAcquire);
+
+/**
+ * NodeBus::pioBeat's shape, the calendar traffic of a PIO message
+ * stream: one address-phase cycle, then one data beat held on the
+ * CPU's switch port and the shared I/O port together. Two CPUs take
+ * turns with 32-beat bursts (one link-interface FIFO) from their own
+ * clocks, so each backfills the gaps the other left on the shared
+ * calendars, and the floor rises to the slower CPU after every burst.
+ */
+void
+BM_ResourcePioPattern(benchmark::State &state)
+{
+    constexpr Tick kCycle = 16667; // One 60 MHz bus cycle.
+    constexpr unsigned kBurst = 32;
+    mem::Resource addr, io, port[2];
+    Tick now[2] = {0, kCycle / 2};
+    unsigned beat = 0;
+    for (auto _ : state) {
+        const unsigned c = (beat / kBurst) & 1;
+        const Tick a = addr.acquire(now[c], kCycle);
+        now[c] = mem::Resource::acquirePair(port[c], io, a + kCycle,
+                                            kCycle) + kCycle;
+        benchmark::DoNotOptimize(now[c]);
+        if (++beat % kBurst == 0) {
+            const Tick floor = std::min(now[0], now[1]);
+            addr.pruneBelow(floor);
+            io.pruneBelow(floor);
+            port[0].pruneBelow(floor);
+            port[1].pruneBelow(floor);
+        }
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ResourcePioPattern);
 
 void
 BM_Crc32Words(benchmark::State &state)

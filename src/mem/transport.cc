@@ -61,6 +61,7 @@ class SnoopTransport final : public CoherenceTransport
     }
 
     void pruneBelow(Tick) override {} // Shares the bus's addr phase.
+    std::size_t calendarIntervals() const override { return 0; }
     void resetTiming() override {}
     void resetCoherence() override {}
 
@@ -179,6 +180,15 @@ class DirectoryTransport final : public CoherenceTransport
     {
         for (Resource &b : _banks)
             b.pruneBelow(floor);
+    }
+
+    std::size_t
+    calendarIntervals() const override
+    {
+        std::size_t n = 0;
+        for (const Resource &b : _banks)
+            n += b.intervals();
+        return n;
     }
 
     void

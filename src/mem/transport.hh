@@ -101,6 +101,9 @@ class CoherenceTransport
     /** Drop calendar history older than `floor` (see NodeBus). */
     virtual void pruneBelow(Tick floor) = 0;
 
+    /** Live calendar intervals the transport owns (tests, census). */
+    virtual std::size_t calendarIntervals() const = 0;
+
     /** Reset timing calendars between runs (state survives). */
     virtual void resetTiming() = 0;
 

@@ -33,9 +33,9 @@ TEST(Partition, SinglePartitionRunsLikeAnEventQueue)
 {
     sim::Partitioned k(1);
     std::vector<int> order;
-    k.queue(0).schedule(30, [&] { order.push_back(3); });
-    k.queue(0).schedule(10, [&] { order.push_back(1); });
-    k.queue(0).schedule(20, [&] { order.push_back(2); });
+    (void)k.queue(0).schedule(30, [&] { order.push_back(3); });
+    (void)k.queue(0).schedule(10, [&] { order.push_back(1); });
+    (void)k.queue(0).schedule(20, [&] { order.push_back(2); });
     EXPECT_EQ(k.run(), 3u);
     EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
     EXPECT_TRUE(k.empty());
@@ -58,11 +58,11 @@ mailboxOrderCase(unsigned threads)
     // Partitions 0 and 1 both execute events inside the first window
     // [0, 100) and post into partition 2 at ticks beyond the horizon.
     // Same-when entries must tie-break on (src, append index).
-    k.queue(0).schedule(0, [&] {
+    (void)k.queue(0).schedule(0, [&] {
         k.post(0, 2, 200, [&] { log.push_back("a0"); });
         k.post(0, 2, 150, [&] { log.push_back("a1"); });
     });
-    k.queue(1).schedule(5, [&] {
+    (void)k.queue(1).schedule(5, [&] {
         k.post(1, 2, 150, [&] { log.push_back("b0"); });
         k.post(1, 2, 200, [&] { log.push_back("b1"); });
         k.post(1, 2, 150, [&] { log.push_back("b2"); });
@@ -105,7 +105,7 @@ TEST(Partition, ChainedCrossPostsRespectLookaheadWindows)
         k.post(at, next, k.queue(at).now() + la,
                [&hop, next] { hop(next); });
     };
-    k.queue(0).schedule(0, [&] { hop(0); });
+    (void)k.queue(0).schedule(0, [&] { hop(0); });
 
     k.run();
     ASSERT_EQ(arrivals.size(), kHops);
@@ -120,8 +120,8 @@ TEST(Partition, RunHonoursLimitAcrossPartitions)
     sim::Partitioned k(2);
     k.setLookahead(10);
     int ran = 0;
-    k.queue(0).schedule(5, [&] { ++ran; });
-    k.queue(1).schedule(25, [&] { ++ran; });
+    (void)k.queue(0).schedule(5, [&] { ++ran; });
+    (void)k.queue(1).schedule(25, [&] { ++ran; });
     k.run(/*limit=*/15);
     EXPECT_EQ(ran, 1);
     EXPECT_FALSE(k.empty()); // the tick-25 event is still pending

@@ -31,6 +31,15 @@ Proc::Proc(const CpuParams &params, int cpuId, mem::Cache *l1d,
     _stats.add(&tlbMisses);
     _stats.add(&busFills);
     _stats.add(&busUpgrades);
+    // The bus caps its pruning floor at this clock (see NodeBus).
+    if (_bus)
+        _bus->attachClock(static_cast<unsigned>(_cpuId), &_time);
+}
+
+Proc::~Proc()
+{
+    if (_bus)
+        _bus->attachClock(static_cast<unsigned>(_cpuId), nullptr);
 }
 
 void

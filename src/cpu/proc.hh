@@ -40,6 +40,9 @@ class Proc
     Proc(const CpuParams &params, int cpuId, mem::Cache *l1d,
          mem::NodeBus *bus);
 
+    /** Detaches the local clock from the bus. */
+    ~Proc();
+
     Proc(const Proc &) = delete;
     Proc &operator=(const Proc &) = delete;
 

@@ -55,36 +55,6 @@ jobsFromArgv(int argc, char **argv)
     return 1;
 }
 
-/**
- * Parse `--kernel-threads N` / `--kernel-threads=N` from a bench's
- * argv (default 0 = classic kernel), with the same strictness as
- * jobsFromArgv. Benches pass the value into
- * msg::SystemParams::kernelThreads.
- */
-inline unsigned
-kernelThreadsFromArgv(int argc, char **argv)
-{
-    const auto parse = [](const char *v) -> unsigned {
-        unsigned threads = 0;
-        if (!sim::parse::u32(v, threads) || threads == 0) {
-            std::fprintf(stderr,
-                         "--kernel-threads expects a thread count >= 1, "
-                         "got '%s'\n",
-                         v);
-            // pmlint: abort-ok(usage error before any simulation exists)
-            std::exit(2);
-        }
-        return threads;
-    };
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--kernel-threads") == 0 && i + 1 < argc)
-            return parse(argv[i + 1]);
-        if (std::strncmp(argv[i], "--kernel-threads=", 17) == 0)
-            return parse(argv[i] + 17);
-    }
-    return 0;
-}
-
 /** Harness options for a bench: --jobs from argv, quiet workers. */
 inline sim::sweep::Options
 options(int argc, char **argv, std::uint64_t seed = 0)

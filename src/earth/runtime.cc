@@ -30,10 +30,9 @@ NodeRt::NodeRt(Runtime &rt, unsigned nodeId)
     // CRC failures are absorbed by the driver's retransmit protocol;
     // only an exhausted retry budget (a dead link) reaches the runtime.
     // Rather than stopping the whole machine, record the death and
-    // degrade: the callback fires inside a driver event (this node's
-    // home partition when the kernel is partitioned), so it only
+    // degrade: the callback fires inside a driver event, so it only
     // queues a node-local report — the machine-wide bookkeeping runs
-    // in Runtime::drainDeathReports() on the driving thread.
+    // in Runtime::drainDeathReports() between events.
     _comm.onDeliveryFailure(
         [this](unsigned dst, std::uint64_t seq, unsigned abandoned) {
             _deathReports.push_back(
@@ -175,8 +174,7 @@ NodeRt::putRemote(unsigned node, Addr addr, std::uint64_t value,
 void
 NodeRt::noteActivity()
 {
-    // Captured inside this node's own events (or on the driving thread
-    // between windows), so the stamp is kernel-thread-count invariant.
+    // Captured inside this node's own events (or between events).
     _lastActivity =
         std::max({_lastActivity, _comm.now(), _comm.proc().time()});
 }
@@ -265,9 +263,6 @@ NodeRt::handleToken(std::vector<std::uint64_t> w)
 void
 NodeRt::scheduleEu()
 {
-    // The EU lives on this node's home queue (queueFor(node)), so the
-    // partitioned kernel runs every node's fibers inside that node's
-    // partition — never across one.
     auto &q = queue();
     if (q.scheduled(_euEvent) || _ready.empty())
         return;
@@ -368,9 +363,8 @@ Runtime::run()
     drainDeathReports();
     const Tick start = lastActivity();
 
-    // Quiescence (and the death reports feeding it) is judged on the
-    // driving thread between pump() calls: one event of the classic
-    // queue, one whole window of the partitioned kernel.
+    // Quiescence (and the death reports feeding it) is judged between
+    // pump() calls, one event at a time.
     while (true) {
         drainDeathReports();
         if (quiescent())
@@ -384,15 +378,13 @@ Runtime::run()
                  "tokens remain");
 
     // The program is done; elapsed time is measured on the node-local
-    // activity stamps (kernel-invariant), not on post-loop queue
-    // clocks — the partitioned kernel finishes whole windows and so
-    // overshoots by a thread-count-dependent amount.
+    // activity stamps, not on the post-loop queue clock.
     const Tick end = lastActivity();
 
     if (_deadPeers.empty()) {
         // Drain trailing ACK handshakes so the next run() — and any
-        // post-run stats read — starts from a fully quiescent machine
-        // regardless of kernel thread count. Impossible once a peer
+        // post-run stats read — starts from a fully quiescent machine.
+        // Impossible once a peer
         // died: its wedged sends never quiesce, so the survivors'
         // state is read at quiescence instead.
         const auto died = [&] {

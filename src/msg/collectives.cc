@@ -50,20 +50,17 @@ Communicator::drain()
                 return false;
         return _sys.fabric().wireQuiet();
     };
-    // Pump to full exhaustion, not first quiescence: the classic
-    // kernel stops on the exact event that quiets the machine, while
-    // the partitioned kernel finishes its window — stopping early
-    // would leave the two with different residual timers and a
-    // different simNow(), skewing the next op's start. A watchdog
-    // scan reschedules itself forever, so with one enabled the
-    // machine can never exhaust; stop at quiescence there.
+    // Pump to full exhaustion, not first quiescence, so residual
+    // timers (delayed ACKs past the quiet point) run out and the next
+    // op starts from an empty queue. A watchdog scan reschedules
+    // itself forever, so with one enabled the machine can never
+    // exhaust; stop at quiescence there.
     if (_sys.health().watchdogEnabled()) {
         while (!quiet() && _sys.pump() != 0) {
         }
     } else {
         while (_sys.pump() != 0) {
         }
-        _sys.kernel().alignClocks();
     }
     if (!quiet())
         pm_panic("collective drain stalled: endpoints or wires still "
@@ -75,9 +72,7 @@ namespace {
 
 /**
  * Start time for an operation: the latest participant clock. Called
- * only on a drained machine (construction or post-drain), where
- * simNow() — the globally last executed tick — is identical for the
- * classic and partitioned kernels at any thread count.
+ * only on a drained machine (construction or post-drain).
  */
 Tick
 opStart(System &sys, std::vector<std::unique_ptr<PmComm>> &comms)
@@ -90,9 +85,7 @@ opStart(System &sys, std::vector<std::unique_ptr<PmComm>> &comms)
 
 /**
  * A rank's completion stamp, taken *inside* its completing callback:
- * the rank's own queue tick (the executing event's time, which is
- * kernel-invariant) joined with its processor clock. Never read
- * another partition's clock here.
+ * the executing event's tick joined with the rank's processor clock.
  */
 Tick
 finishStamp(PmComm &comm)
@@ -110,9 +103,8 @@ Communicator::barrier()
     const Tick start = opStart(_sys, _comms);
 
     // Per-rank state only: rank r's entry is touched exclusively by
-    // rank r's own send/recv callbacks, which all execute in node r's
-    // home partition. Completion is judged by the driving thread
-    // scanning the finished flags between windows.
+    // rank r's own send/recv callbacks. Completion is judged by
+    // runUntil() scanning the finished flags between events.
     struct RankState
     {
         unsigned round = 0; //!< Next round to start.
@@ -271,9 +263,8 @@ Communicator::reduceSum(
     const Tick start = opStart(_sys, _comms);
 
     // Indexed by *virtual* rank; entry v is touched only by real rank
-    // real(v)'s callbacks (one partition). The root's result is copied
-    // out on the driving thread after the run, never written from a
-    // callback.
+    // real(v)'s callbacks. The root's result is copied out after the
+    // run, never written from a callback.
     struct RankState
     {
         std::vector<std::uint64_t> acc;

@@ -87,20 +87,16 @@ class Communicator
     unsigned rounds() const;
 
     /**
-     * Advance the machine (classic step or partitioned window) until
-     * `done()` turns true; panics on stall. The predicate runs on the
-     * driving thread between pump() calls, where reading every rank's
-     * state is safe — mid-window, each rank's callbacks touch only
-     * that rank's entry, which lives in its node's home partition.
+     * Advance the machine one event at a time until `done()` turns
+     * true; panics on stall. The predicate runs between pump() calls.
      */
     void runUntil(const std::function<bool()> &done);
 
     /**
      * Drain trailing ACK handshakes and wires after an operation and
      * audit conservation, so the next operation starts from a fully
-     * quiescent machine — that is what makes its start time (and so
-     * every reported duration) independent of the kernel's thread
-     * count.
+     * quiescent machine, so its start time (and so every reported
+     * duration) does not depend on the previous operation's residue.
      */
     void drain();
 };

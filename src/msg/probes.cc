@@ -56,9 +56,8 @@ measureOneWayLatencyUs(System &sys, unsigned a, unsigned b,
     const auto payload = makePayload(bytes, /*seed=*/bytes + 1);
 
     // One warmup round trip, then `iters` timed ones. Timestamps are
-    // read *inside* A's completion callbacks (each endpoint's state is
-    // written only from its own queue's events — single-writer on any
-    // kernel), and A's clock alone defines the measured interval.
+    // read *inside* A's completion callbacks, and A's clock alone
+    // defines the measured interval.
     unsigned remaining = iters + 1;
     Tick started = 0;
     Tick finished = 0;
@@ -288,14 +287,11 @@ runDeliverySoak(System &sys, unsigned a, unsigned b,
         if (!sys.health().watchdogEnabled()) {
             // Finish the already-scheduled stragglers too (delayed
             // ACK timers past the idle point), so the elapsed stamp
-            // below is identical on the classic and the partitioned
-            // kernels — stopping at first idleness leaves each kernel
-            // a different set of residual timers. A watchdog scan
-            // reschedules itself forever, so with one enabled the
+            // below covers every event the soak scheduled. A watchdog
+            // scan reschedules itself forever, so with one enabled the
             // machine can never exhaust; stop at idle there.
             while (sys.pump() != 0) {
             }
-            sys.kernel().alignClocks();
         }
         sys.auditQuiescent("soak drain");
     }

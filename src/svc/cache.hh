@@ -4,7 +4,7 @@
  *
  * A completed measurement point is stored under the FNV-1a hash of
  * its canonical spec (JobSpec::canonical). Because the simulator is
- * byte-identically deterministic (DESIGN.md §10/§11), a cached row is
+ * byte-identically deterministic (DESIGN.md §10), a cached row is
  * *indistinguishable* from re-running the point — which is the only
  * reason a result cache is sound at all.
  *

@@ -37,7 +37,7 @@ knownKeys()
         "machine", "clusters", "nodes", "uplinks", "fifo",
         "coherence", "replacement", "transport", "node-cpus",
         "fault-ber", "fault-drop", "fault-seed", "fault-link-down",
-        "watchdog", "watchdog-deadline", "dump-file", "kernel-threads",
+        "watchdog", "watchdog-deadline", "dump-file",
         "src", "dst", "bytes", "count", "op", "seed", "stats",
         "strict", "sweep", "jobs", "deadline-us",
     };
@@ -320,14 +320,6 @@ JobSpec::parse(const std::vector<std::string> &tokens, JobSpec &out,
     }
 
     out.dumpFile = f.str("dump-file", "");
-    if (f.has("kernel-threads")) {
-        if (!f.num("kernel-threads", out.kernelThreads))
-            return false;
-        if (out.kernelThreads == 0) {
-            err = "--kernel-threads expects a thread count >= 1";
-            return false;
-        }
-    }
 
     out.op = f.str("op", out.op);
     if (knownOps().count(out.op) == 0) {
@@ -469,7 +461,6 @@ JobSpec::canonical() const
         out += "link-down=none\n";
     appendf(out, "watchdog=%d:%.17g:%.17g\n", watchdog ? 1 : 0,
             watchdogUs, watchdogDeadlineUs);
-    appendf(out, "kernel-threads=%u\n", kernelThreads);
     appendf(out, "src=%u\ndst=%u\nbytes=%u\ncount=%u\n", src, dst,
             bytes, count);
     appendf(out, "op=%s\nsoak-seed=%llu\nstats=%d\nstrict=%d\n",
@@ -494,7 +485,6 @@ runPoint(const JobSpec &spec)
     sp.fabric.nodesPerCluster = spec.nodes;
     sp.fabric.uplinksPerCluster = spec.clusters > 1 ? spec.uplinks : 0;
     sp.fabric.ni.fifoWords = spec.fifo;
-    sp.kernelThreads = spec.kernelThreads;
 
     // Fault injection: configured before the System so the fabric's
     // links snapshot the config as they are built. The model must

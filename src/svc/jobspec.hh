@@ -16,7 +16,7 @@
  *  - the content-addressed result cache keys on canonical() — the
  *    spec rendered into a fixed field order with every default made
  *    explicit — so `--bytes 8` and no flag at all hash identically,
- *    and byte-identical determinism (DESIGN.md §10/§11) makes a
+ *    and byte-identical determinism (DESIGN.md §10) makes a
  *    cached row indistinguishable from a fresh run.
  */
 
@@ -73,7 +73,6 @@ struct JobSpec
     double watchdogUs = 0.0;
     double watchdogDeadlineUs = 0.0;
     std::string dumpFile;
-    unsigned kernelThreads = 0; //!< 0 = classic single-queue kernel.
 
     unsigned src = 0;
     unsigned dst = 1;

@@ -26,7 +26,7 @@
  *    watchdog deadline, strict-soak contract failure, any simulator
  *    invariant — becomes that job's `error` frame, carrying the
  *    panicking machine's own forensic dump. Concurrent jobs are
- *    byte-identical to solo runs (DESIGN.md §10/§11).
+ *    byte-identical to solo runs (DESIGN.md §10).
  *  - *Backpressure.* Admission is bounded: when the queued-point
  *    backlog would exceed ServerOptions::queueDepth the submit is
  *    rejected with reason "queue_full" — explicitly, immediately —

@@ -113,30 +113,33 @@ TEST(SvcJobSpec, ParsesDefaultsAndFlags)
     ASSERT_TRUE(svc::JobSpec::parse(
                     tok({"--op", "soak", "--bytes=64", "--count", "16",
                          "--fault-ber", "1e-6", "--strict",
-                         "--kernel-threads", "2",
                          "--sweep", "bytes=8:64:*2", "--jobs", "4"}),
                     spec, err))
         << err;
     EXPECT_EQ(spec.op, "soak");
     EXPECT_TRUE(spec.strict);
-    EXPECT_EQ(spec.kernelThreads, 2u);
     EXPECT_EQ(spec.numPoints(), 4u);
     EXPECT_EQ(spec.pointLabel(3), "bytes=64");
     EXPECT_EQ(spec.pointSpec(3).bytes, 64u);
     EXPECT_FALSE(spec.pointSpec(3).haveSweep);
 }
 
-TEST(SvcJobSpec, WatchdogComposesWithKernelThreads)
+TEST(SvcJobSpec, KernelThreadsIsAnUnknownFlag)
 {
-    // PR-4's restriction is lifted: barrier-driven scans make the
-    // watchdog partition-safe, so the combination parses.
+    // Every machine runs on one event queue, so there is no kernel
+    // thread count to set: the flag is an unknown option.
     svc::JobSpec spec;
     std::string err;
-    EXPECT_TRUE(svc::JobSpec::parse(
-        tok({"--kernel-threads", "4", "--watchdog", "100"}), spec, err))
-        << err;
-    EXPECT_TRUE(spec.watchdog);
-    EXPECT_EQ(spec.kernelThreads, 4u);
+    for (const auto &tokens :
+         {tok({"--kernel-threads", "4", "--watchdog", "100"}),
+          tok({"--kernel-threads=2"}), tok({"--kernel-threads", "0"})}) {
+        err.clear();
+        EXPECT_FALSE(svc::JobSpec::parse(tokens, spec, err))
+            << "accepted: " << tokens.front();
+        EXPECT_NE(err.find("unknown flag '--kernel-threads'"),
+                  std::string::npos)
+            << err;
+    }
 }
 
 TEST(SvcJobSpec, DeadlineUsFoldsIntoWatchdog)
@@ -169,7 +172,6 @@ TEST(SvcJobSpec, RejectsBadSpecsWithDiagnostics)
         tok({"--op", "teleport"}),
         tok({"--strict"}), // strict needs --op soak
         tok({"--watchdog-deadline", "100"}), // needs --watchdog
-        tok({"--kernel-threads", "0"}),
         tok({"--sweep", "bogus"}),
         tok({"--sweep", "warp=1:2:1"}),
         tok({"--sweep", "nodes=1:64:*2", "--src", "32"}),
@@ -207,10 +209,6 @@ TEST(SvcJobSpec, CanonicalResolvesDefaults)
     svc::JobSpec d;
     ASSERT_TRUE(svc::JobSpec::parse(tok({"--bytes", "16"}), d, err));
     EXPECT_NE(a.cacheKey(), d.cacheKey());
-    svc::JobSpec e;
-    ASSERT_TRUE(svc::JobSpec::parse(tok({"--kernel-threads", "2"}), e,
-                                    err));
-    EXPECT_NE(a.cacheKey(), e.cacheKey());
 }
 
 TEST(SvcJobSpec, PolicyFlagsParseWithResolvedDefaults)
@@ -660,6 +658,12 @@ TEST(SvcServer, BoundedAdmissionAndDrainReject)
               svc::Client::Submit::Rejected);
     EXPECT_EQ(reason, "bad_spec");
     EXPECT_NE(detail.find("cray"), std::string::npos);
+    EXPECT_EQ(client.submitJob("threads", {"--kernel-threads", "2"},
+                               /*retries=*/0, /*backoffMs=*/1, reason,
+                               detail, err),
+              svc::Client::Submit::Rejected);
+    EXPECT_EQ(reason, "bad_spec");
+    EXPECT_NE(detail.find("kernel-threads"), std::string::npos);
     EXPECT_TRUE(client.ping(err)) << err;
 }
 

@@ -1,6 +1,7 @@
 #include "mem/bus.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "sim/logging.hh"
 
@@ -12,8 +13,11 @@ NodeBus::NodeBus(const BusParams &bp, const DramParams &dp, unsigned numCpus)
       _clk(bp.clockMhz),
       _addrTicks(_clk.cycles(bp.addrCycles)),
       _snoopTicks(_clk.cycles(bp.snoopCycles)),
+      _dirLookupTicks(_clk.cycles(bp.dirLookupCycles)),
       _dram(dp.name, dp.banks),
       _caches(numCpus, nullptr),
+      _dirBanks(bp.name + ".dir",
+                bp.transport == TransportKind::Directory ? bp.dirBanks : 0),
       _requesters(numCpus),
       _stats(bp.name)
 {
@@ -27,27 +31,19 @@ NodeBus::NodeBus(const BusParams &bp, const DramParams &dp, unsigned numCpus)
                  "bus (a circuit-switched master holds the broadcast "
                  "phase by construction)",
                  bp.name.c_str());
+    if (bp.transport == TransportKind::Directory) {
+        if (numCpus > 64)
+            pm_fatal("bus %s: the directory's sharer vector holds at most "
+                     "64 CPUs, got %u",
+                     bp.name.c_str(), numCpus);
+        if (bp.dirBanks == 0)
+            pm_fatal("bus %s: the directory needs at least one bank",
+                     bp.name.c_str());
+    }
     const Cycles beatsPerLine = bp.lineBytes / bp.dataWidthBytes;
     _lineDataTicks = _clk.cycles(beatsPerLine);
     _beatTicks = _clk.cycles(1);
     _cpuPorts.resize(numCpus);
-
-    TransportHooks hooks;
-    hooks.caches = &_caches;
-    hooks.addrPhase = &_addrPhase;
-    hooks.addrWait = &addrWait;
-    hooks.snoopProbes = &snoopProbes;
-    hooks.dirLookups = &dirLookups;
-    hooks.targetedInvals = &targetedInvals;
-    hooks.addrBusyTicks = &addrBusyTicks;
-    hooks.dirBusyTicks = &dirBusyTicks;
-    TransportTiming timing;
-    timing.addrTicks = _addrTicks;
-    timing.snoopTicks = _snoopTicks;
-    timing.dirLookupTicks = _clk.cycles(bp.dirLookupCycles);
-    timing.dirBanks = bp.dirBanks;
-    timing.lineBytes = bp.lineBytes;
-    _transport = makeTransport(bp.transport, hooks, timing);
 
     _stats.add(&transactions);
     _stats.add(&c2cTransfers);
@@ -108,7 +104,7 @@ NodeBus::setTimeFloor(Tick floor)
     _memPort.pruneBelow(floor);
     _ioPort.pruneBelow(floor);
     _dram.pruneBelow(floor);
-    _transport->pruneBelow(floor);
+    _dirBanks.pruneBelow(floor);
 }
 
 std::size_t
@@ -116,7 +112,7 @@ NodeBus::calendarIntervals() const
 {
     std::size_t n = _addrPhase.intervals() + _sharedData.intervals() +
                     _memPort.intervals() + _ioPort.intervals() +
-                    _dram.intervals() + _transport->calendarIntervals();
+                    _dram.intervals() + _dirBanks.intervals();
     for (const auto &p : _cpuPorts)
         n += p.intervals();
     return n;
@@ -134,7 +130,116 @@ NodeBus::belowFloor(Tick now) const
 std::uint64_t
 NodeBus::directorySharers(Addr lineAddr) const
 {
-    return _transport->sharers(lineAddr & ~Addr(_bp.lineBytes - 1));
+    auto it = _dir.find(lineAddr & ~Addr(_bp.lineBytes - 1));
+    return it == _dir.end() ? 0 : it->second;
+}
+
+NodeBus::Probe
+NodeBus::snoopPeers(const BusReq &req)
+{
+    Probe po;
+    if (req.type == TxType::Writeback)
+        return po;
+    const bool exclusive = req.type != TxType::ReadShared;
+    for (unsigned c = 0; c < _caches.size(); ++c) {
+        if (static_cast<int>(c) != req.srcCpu && _caches[c])
+            probeCpu(c, req.lineAddr, exclusive, po);
+    }
+    return po;
+}
+
+bool
+NodeBus::probeCpu(unsigned cpu, Addr lineAddr, bool exclusive, Probe &po)
+{
+    ++po.probes;
+    ++snoopProbes;
+    const SnoopResult sr = _caches[cpu]->snoop(lineAddr, exclusive);
+    if (sr.dirtySupplied) {
+        po.dirtyOwner = true;
+        po.owner = static_cast<int>(cpu);
+    }
+    po.sharedByOthers |= sr.present;
+    return sr.present;
+}
+
+// Sparseness makes the directory conservative, never wrong: caches
+// drop clean lines without telling anyone, so a tracked sharer may no
+// longer hold the line. A lone tracked sharer is probed anyway (it may
+// hold the line Exclusive or Modified and must downgrade or supply
+// dirty data) and pruned if the probe misses; with two or more tracked
+// sharers every real copy is provably Shared (a grant of E would have
+// collapsed the sharer set first), so reads are answered from the
+// directory without probing anyone, at worst granting Shared where
+// Exclusive was possible.
+NodeBus::Probe
+NodeBus::probeDirectory(const BusReq &req)
+{
+    Probe po;
+    const std::uint64_t srcBit =
+        req.srcCpu >= 0 ? (std::uint64_t(1) << unsigned(req.srcCpu)) : 0;
+
+    if (req.type == TxType::Writeback) {
+        // The writer is dropping its (Modified) copy.
+        auto it = _dir.find(req.lineAddr);
+        if (it != _dir.end()) {
+            it->second &= ~srcBit;
+            if (it->second == 0)
+                _dir.erase(it);
+        }
+        return po;
+    }
+
+    ++dirLookups;
+    std::uint64_t &sharers = _dir[req.lineAddr];
+
+    if (req.type == TxType::ReadShared) {
+        const std::uint64_t others = sharers & ~srcBit;
+        if (std::has_single_bit(others)) {
+            // A lone tracked peer may hold E or M: downgrade it (and
+            // learn whether it supplies dirty data), or forget it if
+            // it no longer holds the line.
+            const auto c = unsigned(std::countr_zero(others));
+            if (!_caches[c] ||
+                !probeCpu(c, req.lineAddr, /*exclusive=*/false, po))
+                sharers &= ~others;
+        }
+        po.sharedByOthers = (sharers & ~srcBit) != 0;
+        sharers |= srcBit;
+    } else { // ReadExclusive / Upgrade: invalidate tracked sharers.
+        std::uint64_t targets = sharers & ~srcBit;
+        while (targets != 0) {
+            const auto c = unsigned(std::countr_zero(targets));
+            targets &= targets - 1;
+            ++targetedInvals;
+            if (_caches[c])
+                probeCpu(c, req.lineAddr, /*exclusive=*/true, po);
+        }
+        po.sharedByOthers = false; // All peer copies are dead.
+        sharers = srcBit;
+    }
+    if (sharers == 0)
+        _dir.erase(req.lineAddr);
+    return po;
+}
+
+Tick
+NodeBus::resolve(Addr lineAddr, Tick now, const Probe &po)
+{
+    if (_bp.transport == TransportKind::Snoop) {
+        const Tick addrStart = _addrPhase.acquire(now, _addrTicks);
+        addrWait.sample(static_cast<double>(addrStart - now));
+        addrBusyTicks += static_cast<double>(_addrTicks);
+        return addrStart + _addrTicks + _snoopTicks;
+    }
+    const auto bank = static_cast<unsigned>((lineAddr / _bp.lineBytes) %
+                                            _dirBanks.banks());
+    const Tick start = _dirBanks.acquire(bank, now, _dirLookupTicks);
+    addrWait.sample(static_cast<double>(start - now));
+    dirBusyTicks += static_cast<double>(_dirLookupTicks);
+    Tick done = start + _dirLookupTicks;
+    if (po.probes > 0)
+        done += _snoopTicks; // Targeted probes respond in parallel.
+    return done;
 }
 
 BusResult
@@ -147,9 +252,9 @@ NodeBus::request(const BusReq &req, Tick now)
     BusResult res;
 
     // --- Coherence (functional; applied regardless of timing mode). --
-    // The transport probes (or targets) the peers and reports what it
-    // found; see mem/transport.hh.
-    const ProbeOutcome po = _transport->probe(req);
+    const Probe po = _bp.transport == TransportKind::Directory
+                         ? probeDirectory(req)
+                         : snoopPeers(req);
     res.sharedByOthers = po.sharedByOthers;
     res.cacheToCache = po.dirtyOwner;
 
@@ -200,9 +305,9 @@ NodeBus::request(const BusReq &req, Tick now)
         return res;
     }
 
-    // --- Split-transaction path: the transport charges the ------------
-    // --- serialization (address phase or directory bank).  ------------
-    const Tick snooped = _transport->resolve(req, now, po);
+    // --- Split-transaction path: the address phase or a directory ----
+    // --- bank serializes the coherence decision.                  ----
+    const Tick snooped = resolve(req.lineAddr, now, po);
 
     switch (req.type) {
       case TxType::Upgrade:
@@ -290,7 +395,7 @@ NodeBus::resetTiming()
     _memPort.reset();
     _ioPort.reset();
     _dram.reset();
-    _transport->resetTiming();
+    _dirBanks.reset();
     _floor = 0;
     for (Requester &r : _requesters)
         r.active = false;
@@ -299,7 +404,7 @@ NodeBus::resetTiming()
 void
 NodeBus::resetCoherence()
 {
-    _transport->resetCoherence();
+    _dir.clear();
 }
 
 } // namespace pm::mem

@@ -1,6 +1,6 @@
 /**
  * @file
- * The node-level interconnect: coherence transport, data paths, DRAM.
+ * The node-level interconnect: coherence, data paths, DRAM.
  *
  * This one model covers all three machines in the paper's Table 1 by
  * parameterization:
@@ -17,17 +17,17 @@
  *    phase through data completion (circuit-switched), so a second
  *    processor's transaction waits out the whole service time.
  *
- * How a transaction finds the peer copies is the CoherenceTransport
- * policy (mem/transport.hh): the broadcast snoop phase above, or a
- * sparse directory whose banked lookups replace the serialized
- * broadcast with targeted invalidations (DESIGN.md §14).
+ * How a transaction finds the peer copies is BusParams::transport
+ * (DESIGN.md §14): the broadcast snoop over the address phase above,
+ * or a sparse directory whose banked lookups replace the serialized
+ * broadcast with targeted invalidations.
  */
 
 #ifndef PM_MEM_BUS_HH
 #define PM_MEM_BUS_HH
 
 #include <cstdint>
-#include <memory>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -35,7 +35,6 @@
 #include "mem/policy.hh"
 #include "mem/req.hh"
 #include "mem/resource.hh"
-#include "mem/transport.hh"
 #include "sim/clock.hh"
 #include "sim/stats.hh"
 
@@ -87,9 +86,9 @@ struct DramParams
 
 /**
  * The node bus: arbitrates coherent transactions from the per-CPU
- * last-level caches, reaches the peers through its coherence
- * transport, and times data delivery from DRAM, from an owning cache
- * (intervention), or to DRAM (writeback). Also times PIO transfers
+ * last-level caches, reaches the peers by broadcast snoop or through
+ * its sparse directory, and times data delivery from DRAM, from an
+ * owning cache (intervention), or to DRAM (writeback). Also times PIO transfers
  * between a CPU and the node's I/O port (where the communication link
  * interfaces live).
  */
@@ -134,9 +133,9 @@ class NodeBus : public BusTarget
     void resetTiming();
 
     /**
-     * Forget the transport's coherence bookkeeping (directory sharer
-     * vectors). Must accompany invalidating the attached caches —
-     * Node::reset() does both; no-op under snooping.
+     * Forget the directory's sharer vectors. Must accompany
+     * invalidating the attached caches — Node::reset() does both;
+     * no-op under snooping.
      */
     void resetCoherence();
 
@@ -164,7 +163,7 @@ class NodeBus : public BusTarget
     std::size_t calendarIntervals() const;
 
     /**
-     * Sharer bit-vector the transport tracks for the line holding
+     * Sharer bit-vector the directory tracks for the line holding
      * `lineAddr` (always 0 under snooping, which tracks nothing).
      */
     std::uint64_t directorySharers(Addr lineAddr) const;
@@ -189,11 +188,21 @@ class NodeBus : public BusTarget
                                "ticks spent waiting for the address phase"};
 
   private:
+    /** What probing the peers of one transaction found. */
+    struct Probe
+    {
+        bool sharedByOthers = false; //!< A peer still holds the line.
+        bool dirtyOwner = false; //!< A peer owned Modified data.
+        int owner = -1; //!< CPU index of the dirty owner, if any.
+        unsigned probes = 0; //!< Peer hierarchies actually snooped.
+    };
+
     BusParams _bp;
     DramParams _dp;
     sim::ClockDomain _clk;
     Tick _addrTicks;
     Tick _snoopTicks;
+    Tick _dirLookupTicks; //!< One banked directory lookup.
     Tick _lineDataTicks; //!< Data-phase beats for one full line.
     Tick _beatTicks; //!< One data beat.
 
@@ -204,7 +213,8 @@ class NodeBus : public BusTarget
     Resource _ioPort;
     BankedResource _dram;
     std::vector<Cache *> _caches;
-    std::unique_ptr<CoherenceTransport> _transport;
+    BankedResource _dirBanks; //!< Directory banks (none when snooping).
+    std::map<Addr, std::uint64_t> _dir; //!< lineAddr -> sharer bits.
     Tick _floor = 0; //!< Highest pruning floor since resetTiming().
 
     /** A CPU port's requester, as far as the pruning floor cares. */
@@ -228,6 +238,29 @@ class NodeBus : public BusTarget
      * @return Actual transfer start time.
      */
     Tick acquirePath(Resource &a, Resource &b, Tick at, Tick ticks);
+
+    /** Broadcast: snoop every other CPU's hierarchy. */
+    Probe snoopPeers(const BusReq &req);
+
+    /**
+     * Directory: look up the line's sharers, probe or invalidate them
+     * as the request needs, and update the sharer vector. A writeback
+     * probes nobody and drops the writer's bit.
+     */
+    Probe probeDirectory(const BusReq &req);
+
+    /**
+     * Snoop CPU `cpu`'s hierarchy and fold the answer into `po`.
+     * @return Whether the line was present there.
+     */
+    bool probeCpu(unsigned cpu, Addr lineAddr, bool exclusive, Probe &po);
+
+    /**
+     * Charge the serialization of a split transaction issued at `now`
+     * (the address phase, or one directory bank) and return the tick
+     * at which ownership is settled.
+     */
+    Tick resolve(Addr lineAddr, Tick now, const Probe &po);
 
     /** A request at `now` reached behind the pruned floor: panic. */
     [[noreturn]] void belowFloor(Tick now) const;

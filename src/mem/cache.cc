@@ -14,18 +14,13 @@ isPow2(std::uint64_t v)
 
 } // namespace
 
-Cache::Cache(const CacheParams &params, BusTarget *bus)
+Cache::Cache(const CacheParams &params)
     : _p(params),
       _clk(params.clockMhz),
       _hitLatency(_clk.cycles(params.hitCycles)),
       _numSets(params.sizeBytes / (params.assoc * params.lineSize)),
-      _coh(coherencePolicy(params.coherence)),
-      _repl(makeReplacement(params.replacement)),
-      _bus(bus),
       _stats(params.name)
 {
-    if (!bus)
-        pm_fatal("cache %s: null bus target", _p.name.c_str());
     if (!isPow2(_p.lineSize) || !isPow2(_numSets))
         pm_fatal("cache %s: line size and set count must be powers of two",
                  _p.name.c_str());
@@ -33,19 +28,25 @@ Cache::Cache(const CacheParams &params, BusTarget *bus)
         pm_fatal("cache %s: size not divisible by assoc*lineSize",
                  _p.name.c_str());
     _lines.resize(std::size_t(_numSets) * _p.assoc);
-    _repl->attach(_numSets, _p.assoc);
-    registerStats();
+    _repl.resize(_lines.size());
+    _stats.add(&hits);
+    _stats.add(&misses);
+    _stats.add(&evictions);
+    _stats.add(&writebacks);
+    _stats.add(&upgrades);
+    _stats.add(&snoopInvalidations);
+    _stats.add(&snoopDowngrades);
+    _stats.add(&interventions);
 }
 
-Cache::Cache(const CacheParams &params, Cache *below)
-    : _p(params),
-      _clk(params.clockMhz),
-      _hitLatency(_clk.cycles(params.hitCycles)),
-      _numSets(params.sizeBytes / (params.assoc * params.lineSize)),
-      _coh(coherencePolicy(params.coherence)),
-      _repl(makeReplacement(params.replacement)),
-      _below(below),
-      _stats(params.name)
+Cache::Cache(const CacheParams &params, BusTarget *bus) : Cache(params)
+{
+    if (!bus)
+        pm_fatal("cache %s: null bus target", _p.name.c_str());
+    _bus = bus;
+}
+
+Cache::Cache(const CacheParams &params, Cache *below) : Cache(params)
 {
     if (!below)
         pm_fatal("cache %s: null lower level", _p.name.c_str());
@@ -56,26 +57,8 @@ Cache::Cache(const CacheParams &params, Cache *below)
     if (below->params().coherence != _p.coherence)
         pm_fatal("cache %s: hierarchy levels must speak one protocol",
                  _p.name.c_str());
-    if (!isPow2(_p.lineSize) || !isPow2(_numSets))
-        pm_fatal("cache %s: line size and set count must be powers of two",
-                 _p.name.c_str());
-    _lines.resize(std::size_t(_numSets) * _p.assoc);
-    _repl->attach(_numSets, _p.assoc);
+    _below = below;
     below->_upper = this;
-    registerStats();
-}
-
-void
-Cache::registerStats()
-{
-    _stats.add(&hits);
-    _stats.add(&misses);
-    _stats.add(&evictions);
-    _stats.add(&writebacks);
-    _stats.add(&upgrades);
-    _stats.add(&snoopInvalidations);
-    _stats.add(&snoopDowngrades);
-    _stats.add(&interventions);
 }
 
 std::uint32_t
@@ -104,24 +87,51 @@ Cache::findLine(Addr lineAddr) const
 }
 
 std::uint32_t
-Cache::victimWay(Addr lineAddr)
+Cache::victimWay(std::uint32_t set)
 {
-    const std::uint32_t set = setIndex(lineAddr);
-    const Line *base = &_lines[std::size_t(set) * _p.assoc];
+    const std::size_t base = std::size_t(set) * _p.assoc;
     for (std::uint32_t w = 0; w < _p.assoc; ++w) {
-        if (base[w].state == MesiState::Invalid)
+        if (_lines[base + w].state == MesiState::Invalid)
             return w; // Lowest-index free slot first.
     }
-    return _repl->victimWay(set);
+    std::uint64_t *st = &_repl[base];
+    if (_p.replacement == ReplacementKind::Srrip) {
+        // SRRIP-HP (Jaleel et al., ISCA 2010): the first distant way
+        // from way 0; when none is distant, age the whole set and
+        // rescan.
+        for (;;) {
+            for (std::uint32_t w = 0; w < _p.assoc; ++w) {
+                if (st[w] >= kRrpvDistant)
+                    return w;
+            }
+            for (std::uint32_t w = 0; w < _p.assoc; ++w)
+                ++st[w];
+        }
+    }
+    // LRU: the strictly smallest stamp, so a tie keeps the lowest way.
+    std::uint32_t victim = 0;
+    for (std::uint32_t w = 1; w < _p.assoc; ++w) {
+        if (st[w] < st[victim])
+            victim = w;
+    }
+    return victim;
 }
 
 void
-Cache::touch(const Line *line)
+Cache::touch(std::size_t idx)
 {
-    const auto idx =
-        static_cast<std::size_t>(line - _lines.data());
-    _repl->touch(static_cast<std::uint32_t>(idx / _p.assoc),
-                 static_cast<std::uint32_t>(idx % _p.assoc));
+    // SRRIP promotes a re-referenced line to near-immediate (RRPV 0).
+    _repl[idx] =
+        _p.replacement == ReplacementKind::Srrip ? 0 : ++_lruClock;
+}
+
+void
+Cache::insert(std::size_t idx)
+{
+    // SRRIP inserts at long re-reference, one aging step from eviction,
+    // so a streaming line cannot push out a proven-hot one.
+    _repl[idx] =
+        _p.replacement == ReplacementKind::Srrip ? kRrpvLong : ++_lruClock;
 }
 
 MesiState
@@ -195,8 +205,8 @@ AccessResult
 Cache::fill(Addr lineAddr, bool exclusive, int srcCpu, Tick t)
 {
     const std::uint32_t set = setIndex(lineAddr);
-    const std::uint32_t way = victimWay(lineAddr);
-    Line &slot = _lines[std::size_t(set) * _p.assoc + way];
+    const std::size_t idx = std::size_t(set) * _p.assoc + victimWay(set);
+    Line &slot = _lines[idx];
     if (slot.state != MesiState::Invalid)
         evict(slot, lineAddr, srcCpu, t);
 
@@ -210,8 +220,12 @@ Cache::fill(Addr lineAddr, bool exclusive, int srcCpu, Tick t)
         res.granted = exclusive ? MesiState::Modified : sub.granted;
         if (!exclusive && sub.granted == MesiState::Modified) {
             // Lower level holds dirty data; this level caches it clean
-            // relative to the level below (which keeps ownership).
-            res.granted = _coh.cleanOverDirty();
+            // relative to the level below (which keeps ownership):
+            // Exclusive, so a later store upgrades silently, or Shared
+            // under MSI, which has no Exclusive state.
+            res.granted = _p.coherence == CoherenceKind::Msi
+                              ? MesiState::Shared
+                              : MesiState::Exclusive;
         }
     } else {
         const TxType type =
@@ -219,12 +233,17 @@ Cache::fill(Addr lineAddr, bool exclusive, int srcCpu, Tick t)
         BusResult bus = _bus->request(BusReq{lineAddr, type, srcCpu}, t);
         res.done = bus.done;
         res.fromBus = true;
-        res.granted = _coh.busGrant(exclusive, bus.sharedByOthers);
+        if (exclusive)
+            res.granted = MesiState::Modified;
+        else if (bus.sharedByOthers || _p.coherence == CoherenceKind::Msi)
+            res.granted = MesiState::Shared;
+        else
+            res.granted = MesiState::Exclusive;
     }
 
     slot.tag = lineAddr;
     slot.state = res.granted;
-    _repl->insert(set, way);
+    insert(idx);
     res.hit = false;
     return res;
 }
@@ -260,24 +279,14 @@ Cache::access(const MemReq &req, Tick now)
     Line *line = findLine(lineAddr);
 
     if (line) {
-        touch(line);
+        touch(static_cast<std::size_t>(line - _lines.data()));
         if (!req.write) {
             ++hits;
             return AccessResult{t, line->state, true};
         }
-        switch (_coh.storeHit(line->state)) {
-          case StoreAction::Complete:
-            ++hits;
-            return AccessResult{t, MesiState::Modified, true};
-          case StoreAction::SilentUpgrade:
-            ++hits;
-            line->state = MesiState::Modified;
-            // Record dirty ownership below so remote snoops that only
-            // reach the lower level report it.
-            if (_below)
-                _below->promoteToModified(_below->lineAlign(lineAddr));
-            return AccessResult{t, MesiState::Modified, true};
-          case StoreAction::BusUpgrade: {
+        if (line->state == MesiState::Shared) {
+            // Peers may hold copies (under MSI every clean line is
+            // Shared): take ownership first.
             const Tick done = upgradeLine(lineAddr, req.srcCpu, t);
             line = findLine(lineAddr); // may have moved? (no, same slot)
             pm_assert(line != nullptr);
@@ -285,8 +294,16 @@ Cache::access(const MemReq &req, Tick now)
             // An upgrade crossed (or may have crossed) the bus: report
             // it as bus traffic so the core applies miss semantics.
             return AccessResult{done, MesiState::Modified, true, true};
-          }
         }
+        ++hits;
+        if (line->state == MesiState::Exclusive) {
+            // Silent E -> M. Record dirty ownership below so remote
+            // snoops that only reach the lower level report it.
+            line->state = MesiState::Modified;
+            if (_below)
+                _below->promoteToModified(_below->lineAlign(lineAddr));
+        }
+        return AccessResult{t, MesiState::Modified, true};
     }
 
     ++misses;
@@ -311,16 +328,19 @@ Cache::snoop(Addr lineAddr, bool exclusive)
     if (!line)
         return res;
 
-    const SnoopReaction rx = _coh.snoopHit(line->state, exclusive);
-    if (rx.supplyDirty) {
+    if (line->state == MesiState::Modified) {
         res.dirtySupplied = true;
         ++interventions;
     }
-    if (exclusive)
+    if (exclusive) {
         ++snoopInvalidations;
-    else if (rx.downgrade)
-        ++snoopDowngrades;
-    line->state = rx.next;
+        line->state = MesiState::Invalid;
+    } else {
+        // An M or E line is demoted (MSI never holds E).
+        if (line->state != MesiState::Shared)
+            ++snoopDowngrades;
+        line->state = MesiState::Shared;
+    }
     // res.present reflects pre-snoop residency for invalidations.
     res.present = true;
     return res;

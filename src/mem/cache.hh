@@ -1,35 +1,32 @@
 /**
  * @file
- * A parametric set-associative cache with pluggable coherence.
+ * A parametric set-associative cache under one of two protocols
+ * (MESI or MSI) and one of two replacement policies (LRU or SRRIP).
  *
  * Caches form private two-level hierarchies per processor (L1 -> L2);
  * the L2 talks to the node bus (BusTarget), which reaches every other
- * processor's L2 through its coherence transport. Hierarchies are
- * inclusive: a line present in L1 is present in its L2, so snoops
- * delivered to the L2 recurse upward.
+ * processor's L2 by broadcast snoop or through its sparse directory.
+ * Hierarchies are inclusive: a line present in L1 is present in its
+ * L2, so snoops delivered to the L2 recurse upward.
  *
  * The model tracks line *state*, not data contents: the quantities the
  * paper measures (hit rates, line-length effects, snoop serialization,
  * intervention transfers) are functions of state and timing only.
  *
- * Protocol decisions (what a store hit must do, what state a fill is
- * granted, how a snoop reacts) live in the CoherencePolicy; victim
- * selection lives in the ReplacementPolicy (DESIGN.md §14). The cache
- * keeps the mechanism: lookup, inclusion recursion, eviction and the
- * timing of each path.
+ * Both policies are plain enums in CacheParams that the cache switches
+ * on where they differ (DESIGN.md §14): MSI changes the state a fill is
+ * granted; the replacement policy decides what the per-way state means
+ * and which way a full set gives up.
  */
 
 #ifndef PM_MEM_CACHE_HH
 #define PM_MEM_CACHE_HH
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "mem/coherence.hh"
 #include "mem/policy.hh"
-#include "mem/replacement.hh"
 #include "mem/req.hh"
 #include "sim/clock.hh"
 #include "sim/stats.hh"
@@ -87,9 +84,6 @@ class Cache
     const CacheParams &params() const { return _p; }
     std::uint32_t lineSize() const { return _p.lineSize; }
     std::uint32_t numSets() const { return _numSets; }
-
-    /** The protocol this cache speaks. */
-    const CoherencePolicy &coherence() const { return _coh; }
 
     /**
      * Perform a timed access.
@@ -149,19 +143,28 @@ class Cache
         MesiState state = MesiState::Invalid;
     };
 
+    /** SRRIP re-reference prediction values (2-bit). */
+    static constexpr std::uint64_t kRrpvLong = 2; //!< Insertion value.
+    static constexpr std::uint64_t kRrpvDistant = 3; //!< Evictable.
+
     CacheParams _p;
     sim::ClockDomain _clk;
     Tick _hitLatency;
     std::uint32_t _numSets;
-    const CoherencePolicy &_coh;
-    std::unique_ptr<ReplacementPolicy> _repl;
     Cache *_below = nullptr;
     BusTarget *_bus = nullptr;
     Cache *_upper = nullptr;
     std::vector<Line> _lines; // sets * assoc, row-major by set
+    /**
+     * Replacement state, one entry per way of `_lines`: the LRU stamp
+     * (`_lruClock` at the last touch or fill) or the SRRIP RRPV.
+     */
+    std::vector<std::uint64_t> _repl;
+    std::uint64_t _lruClock = 0;
     sim::StatGroup _stats;
 
-    void registerStats();
+    /** Validation and state shared by both public constructors. */
+    explicit Cache(const CacheParams &params);
 
     Addr lineAlign(Addr a) const { return a & ~Addr(_p.lineSize - 1); }
     std::uint32_t setIndex(Addr lineAddr) const;
@@ -169,14 +172,18 @@ class Cache
     const Line *findLine(Addr lineAddr) const;
 
     /**
-     * Way to fill for a miss on `lineAddr`: the lowest-index Invalid
-     * way if the set has one, else the replacement policy's victim
-     * (which breaks ties toward the lowest way index).
+     * Way to fill in `set`: the lowest-index Invalid way if the set
+     * has one, else the replacement victim. Every tie breaks toward
+     * the lowest way index, so the choice is deterministic even among
+     * equal states.
      */
-    std::uint32_t victimWay(Addr lineAddr);
+    std::uint32_t victimWay(std::uint32_t set);
 
-    /** Report a demand hit on `line` to the replacement policy. */
-    void touch(const Line *line);
+    /** Record a demand hit on `_lines[idx]` in the replacement state. */
+    void touch(std::size_t idx);
+
+    /** Record a fill of `_lines[idx]` in the replacement state. */
+    void insert(std::size_t idx);
 
     /** Fetch a missing line; returns completion time and new state. */
     AccessResult fill(Addr lineAddr, bool exclusive, int srcCpu, Tick t);

@@ -349,4 +349,19 @@ TEST(CacheHierarchy, SilentL1EtoMIsVisibleToSnoops)
     EXPECT_TRUE(r.dirtySupplied) << "dirty ownership must be visible";
 }
 
+// Both constructors share one size check: 4160 B of 2-way, 64 B lines
+// is 32.5 sets, which must be refused rather than truncated to a
+// 4096 B cache of 32 sets.
+TEST(CacheDeathTest, UpperLevelSizeMustDivideIntoSets)
+{
+    StubBus bus;
+    Cache l2(smallCache(8, 2, 64), &bus);
+    CacheParams l1 = smallCache(1, 2, 64);
+    l1.sizeBytes = 4160;
+    EXPECT_EXIT({ Cache upper(l1, &l2); }, ::testing::ExitedWithCode(1),
+                "size not divisible by assoc\\*lineSize");
+    EXPECT_EXIT({ Cache last(l1, &bus); }, ::testing::ExitedWithCode(1),
+                "size not divisible by assoc\\*lineSize");
+}
+
 } // namespace

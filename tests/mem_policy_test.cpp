@@ -1,10 +1,11 @@
 /**
  * @file
- * Unit tests for the pluggable memory-hierarchy policies (DESIGN.md
- * §14): replacement victim selection (LRU tie-break determinism, SRRIP
- * known answers and scan resistance), MSI protocol semantics against
- * MESI, and the sparse directory's targeted invalidations — probing
- * exactly the true sharers where the broadcast snoop probes everyone.
+ * Unit tests for the memory-hierarchy policies (DESIGN.md §14):
+ * replacement victim selection through a real Cache (LRU recency,
+ * SRRIP known answers and scan resistance), MSI protocol semantics
+ * against MESI, and the sparse directory's targeted invalidations —
+ * probing exactly the true sharers where the broadcast snoop probes
+ * everyone.
  */
 
 #include <gtest/gtest.h>
@@ -15,7 +16,6 @@
 
 #include "mem/bus.hh"
 #include "mem/cache.hh"
-#include "mem/replacement.hh"
 #include "mem/req.hh"
 
 namespace {
@@ -33,59 +33,6 @@ using mem::ReplacementKind;
 using mem::TransportKind;
 using mem::TxType;
 
-// ---- ReplacementPolicy known-answer tests ---------------------------------
-
-TEST(LruPolicy, FreshSetTieBreaksToLowestWay)
-{
-    auto lru = mem::makeReplacement(ReplacementKind::Lru);
-    lru->attach(2, 4);
-    // All stamps equal (cold): the tie must break to way 0, in every
-    // set, deterministically — this is the satellite-1 contract.
-    EXPECT_EQ(lru->victimWay(0), 0u);
-    EXPECT_EQ(lru->victimWay(1), 0u);
-}
-
-TEST(LruPolicy, TouchOrderPicksLeastRecentWay)
-{
-    auto lru = mem::makeReplacement(ReplacementKind::Lru);
-    lru->attach(1, 4);
-    for (std::uint32_t w = 0; w < 4; ++w)
-        lru->insert(0, w);
-    EXPECT_EQ(lru->victimWay(0), 0u); // oldest insert
-    lru->touch(0, 0);
-    EXPECT_EQ(lru->victimWay(0), 1u);
-    lru->touch(0, 1);
-    EXPECT_EQ(lru->victimWay(0), 2u);
-}
-
-TEST(SrripPolicy, AgesColdSetAndVictimizesLowestWay)
-{
-    auto srrip = mem::makeReplacement(ReplacementKind::Srrip);
-    srrip->attach(1, 4);
-    for (std::uint32_t w = 0; w < 4; ++w)
-        srrip->insert(0, w); // all RRPV = long (2)
-    // No way is distant (3): the set ages once, then the tie among
-    // all-distant ways breaks to way 0.
-    EXPECT_EQ(srrip->victimWay(0), 0u);
-    // Aging was persistent: the next victim needs no further aging and
-    // is still the lowest distant way.
-    EXPECT_EQ(srrip->victimWay(0), 0u);
-}
-
-TEST(SrripPolicy, TouchPromotesToNearAndSurvivesAging)
-{
-    auto srrip = mem::makeReplacement(ReplacementKind::Srrip);
-    srrip->attach(1, 4);
-    for (std::uint32_t w = 0; w < 4; ++w)
-        srrip->insert(0, w); // RRPV: [2,2,2,2]
-    srrip->touch(0, 1); // RRPV: [2,0,2,2]
-    // One aging pass: [3,1,3,3] -> victim way 0; the touched way is
-    // two more aging rounds from eviction.
-    EXPECT_EQ(srrip->victimWay(0), 0u);
-    srrip->insert(0, 0); // RRPV: [2,1,3,3]
-    EXPECT_EQ(srrip->victimWay(0), 2u); // first already-distant way
-}
-
 // ---- Replacement policies through a real Cache ----------------------------
 
 /** A bus stub granting every fill; enough for replacement tests. */
@@ -99,18 +46,93 @@ class StubBus : public BusTarget
     }
 };
 
+/** Eight sets of `assoc` ways at 64 B lines. */
 CacheParams
-twoWayCache(ReplacementKind repl)
+eightSetCache(ReplacementKind repl, std::uint32_t assoc = 2)
 {
     CacheParams p;
     p.name = "repl_l2";
-    p.sizeBytes = 1024; // 8 sets of 2 ways at 64 B lines
-    p.assoc = 2;
+    p.sizeBytes = 8 * assoc * 64;
+    p.assoc = assoc;
     p.lineSize = 64;
     p.hitCycles = 1;
     p.clockMhz = 100.0;
     p.replacement = repl;
     return p;
+}
+
+/** Addresses this far apart map to the same set of eightSetCache(). */
+constexpr Addr kSetStride = 8 * 64;
+
+/** Load line `n` of set 0; a cold set fills ways in load order. */
+void
+load(Cache &cache, unsigned n, Tick &t)
+{
+    cache.access(MemReq{n * kSetStride, false, 0}, t += 1000);
+}
+
+/** Which of lines 0..n-1 of set 0 the cache still holds. */
+std::vector<bool>
+resident(const Cache &cache, unsigned n)
+{
+    std::vector<bool> out;
+    for (unsigned i = 0; i < n; ++i)
+        out.push_back(cache.lineState(i * kSetStride) != MesiState::Invalid);
+    return out;
+}
+
+TEST(LruPolicy, TouchOrderPicksLeastRecentWay)
+{
+    StubBus bus;
+    Cache cache(eightSetCache(ReplacementKind::Lru, 4), &bus);
+    Tick t = 0;
+    for (unsigned n = 0; n < 4; ++n)
+        load(cache, n, t); // lines 0..3 fill ways 0..3
+    load(cache, 0, t); // hit: line 0 becomes the most recent
+    load(cache, 4, t); // evicts line 1, the least recent
+    EXPECT_EQ(resident(cache, 5),
+              (std::vector<bool>{true, false, true, true, true}));
+    load(cache, 2, t); // hit: line 3 becomes the least recent
+    load(cache, 5, t);
+    EXPECT_EQ(resident(cache, 6),
+              (std::vector<bool>{true, false, true, false, true, true}));
+}
+
+TEST(SrripPolicy, AgesColdSetAndVictimizesLowestWay)
+{
+    StubBus bus;
+    Cache cache(eightSetCache(ReplacementKind::Srrip, 4), &bus);
+    Tick t = 0;
+    for (unsigned n = 0; n < 4; ++n)
+        load(cache, n, t); // all RRPV = long (2)
+    // No way is distant (3): the set ages once, then the tie among
+    // all-distant ways breaks to way 0.
+    load(cache, 4, t); // RRPV: [2,3,3,3]
+    EXPECT_EQ(resident(cache, 5),
+              (std::vector<bool>{false, true, true, true, true}));
+    // Aging was persistent: the next victim needs no further aging and
+    // is the lowest distant way (line 1), not the fresh line 4.
+    load(cache, 5, t);
+    EXPECT_EQ(resident(cache, 6),
+              (std::vector<bool>{false, false, true, true, true, true}));
+}
+
+TEST(SrripPolicy, TouchPromotesToNearAndSurvivesAging)
+{
+    StubBus bus;
+    Cache cache(eightSetCache(ReplacementKind::Srrip, 4), &bus);
+    Tick t = 0;
+    for (unsigned n = 0; n < 4; ++n)
+        load(cache, n, t); // RRPV: [2,2,2,2]
+    load(cache, 1, t); // hit: RRPV [2,0,2,2]
+    // One aging pass: [3,1,3,3] -> victim way 0; the touched line is
+    // two more aging rounds from eviction.
+    load(cache, 4, t); // RRPV: [2,1,3,3]
+    EXPECT_EQ(resident(cache, 5),
+              (std::vector<bool>{false, true, true, true, true}));
+    load(cache, 5, t); // first already-distant way: line 2
+    EXPECT_EQ(resident(cache, 6),
+              (std::vector<bool>{false, true, false, true, true, true}));
 }
 
 /**
@@ -127,7 +149,7 @@ TEST(Replacement, SrripResistsScanWhereLruEvictsHotLine)
     for (const ReplacementKind repl :
          {ReplacementKind::Lru, ReplacementKind::Srrip}) {
         StubBus bus;
-        Cache cache(twoWayCache(repl), &bus);
+        Cache cache(eightSetCache(repl), &bus);
         for (const Addr addr : {a, b, a /* A becomes hot */, c, d})
             cache.access(MemReq{addr, false, 0}, t += 1000);
         if (repl == ReplacementKind::Lru) {

@@ -109,6 +109,50 @@ BM_EventQueuePeriodicSteadyState(benchmark::State &state)
 }
 BENCHMARK(BM_EventQueuePeriodicSteadyState)->Arg(64)->Arg(4096);
 
+/**
+ * The schedule mix of a fabric run (ring-4cluster, 16 wormhole
+ * streams across two crossbar levels), replayed on `range(0)` pending
+ * events that each reschedule themselves: 26% at now(), ~10% at
+ * 16-64 ns, ~63% at 130-260 ns and ~1% at 1-100 us (the PmComm
+ * timers). Unlike the picosecond-spaced cases above, the deltas spread
+ * over the event queue's whole near horizon.
+ */
+void
+BM_EventQueueFabricMix(benchmark::State &state)
+{
+    const int depth = static_cast<int>(state.range(0));
+    std::vector<Tick> deltas(4096);
+    sim::SplitMix64 rng(101);
+    for (Tick &d : deltas) {
+        const std::uint64_t r = rng.below(100);
+        if (r < 26)
+            d = 0;
+        else if (r < 36)
+            d = 16 * kTicksPerNs + rng.below(48 * kTicksPerNs);
+        else if (r < 99)
+            d = 130 * kTicksPerNs + rng.below(130 * kTicksPerNs);
+        else
+            d = kTicksPerUs + rng.below(99 * kTicksPerUs);
+    }
+    sim::EventQueue q;
+    std::size_t next = 0;
+    std::uint64_t sink = 0;
+    std::function<void()> fire = [&] {
+        ++sink;
+        // pmlint: capture-ok(fire outlives the queue it is scheduled on)
+        (void)q.scheduleIn(deltas[next++ % deltas.size()], [&fire] { fire(); });
+    };
+    for (int i = 0; i < depth; ++i)
+        // pmlint: capture-ok(fire outlives the queue it is scheduled on)
+        (void)q.scheduleIn(deltas[next++ % deltas.size()], [&fire] { fire(); });
+    for (auto _ : state) {
+        q.step();
+        benchmark::DoNotOptimize(sink);
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_EventQueueFabricMix)->Arg(270);
+
 void
 BM_CacheHitAccess(benchmark::State &state)
 {

@@ -1,5 +1,6 @@
 #include "sim/event.hh"
 
+#include <bit>
 #include <limits>
 
 #include "sim/logging.hh"
@@ -43,8 +44,67 @@ EventQueue::schedule(Tick when, EventFn fn)
     rec.seq = seq;
     rec.state = Record::State::Pending;
     rec.fn = std::move(fn);
-    _heap.push(HeapEntry{when, seq, slot});
+    if (!pushNear(when, slot))
+        _heap.push(HeapEntry{when, seq, slot});
     return EventHandle{slot, seq};
+}
+
+bool
+EventQueue::pushNear(Tick when, std::uint32_t slot)
+{
+    const Tick bucketNo = when >> kBucketShift;
+    if (bucketNo - (_now >> kBucketShift) >= kBuckets)
+        return false; // past the horizon
+    const unsigned b = static_cast<unsigned>(bucketNo) & (kBuckets - 1);
+    Bucket &bk = _buckets[b];
+    if (bk.fill == kBucketSlots)
+        return false; // full bucket: spill to the heap
+    // The new event has the largest seq of any queued one, so it goes
+    // after every entry with when <= its own; the (usually few) later
+    // entries shift one place towards the ring's tail.
+    const auto offset = static_cast<std::uint32_t>(when & (kBucketTicks - 1));
+    NearEntry *ring = &_wheel[b * kBucketSlots];
+    constexpr unsigned kMask = kBucketSlots - 1;
+    unsigned i = bk.fill;
+    for (; i > 0; --i) {
+        const NearEntry &prev = ring[(bk.head + i - 1) & kMask];
+        if (prev.offset <= offset)
+            break;
+        ring[(bk.head + i) & kMask] = prev;
+    }
+    ring[(bk.head + i) & kMask] = NearEntry{offset, slot};
+    ++bk.fill;
+    _occupied[b / 64] |= std::uint64_t{1} << (b % 64);
+    ++_nearSize;
+    return true;
+}
+
+unsigned
+EventQueue::nearHeadBucket() const
+{
+    if (_nearSize == 0)
+        return kNoBucket;
+    // Every near entry lies in [now's bucket, now's bucket + kBuckets),
+    // so the first occupied bucket at or after now's, circularly, holds
+    // the earliest. Bits below `start` in its word are the wheel's last
+    // buckets, which the wrap-around visits last.
+    const unsigned start =
+        static_cast<unsigned>(_now >> kBucketShift) & (kBuckets - 1);
+    unsigned w = start / 64;
+    std::uint64_t bits = _occupied[w] & (~std::uint64_t{0} << (start % 64));
+    while (bits == 0) {
+        w = (w + 1) % kOccupancyWords;
+        bits = _occupied[w];
+    }
+    return w * 64 + static_cast<unsigned>(std::countr_zero(bits));
+}
+
+Tick
+EventQueue::nearWhen(unsigned bucket, std::uint32_t offset) const
+{
+    const Tick nowNo = _now >> kBucketShift;
+    const Tick ahead = (bucket - nowNo) & (kBuckets - 1);
+    return ((nowNo + ahead) << kBucketShift) | offset;
 }
 
 bool
@@ -68,31 +128,58 @@ EventQueue::cancel(EventHandle h)
 bool
 EventQueue::step(Tick limit)
 {
-    while (!_heap.empty()) {
-        const HeapEntry top = _heap.top();
-        if (top.when > limit)
+    for (;;) {
+        // Each tier yields its own earliest entry; the smaller of the
+        // two by (when, seq) is the earliest of the whole queue.
+        unsigned b = nearHeadBucket();
+        Tick when = kTickNever;
+        std::uint32_t slot = 0;
+        if (b != kNoBucket) {
+            const NearEntry &n = _wheel[b * kBucketSlots + _buckets[b].head];
+            when = nearWhen(b, n.offset);
+            slot = n.slot;
+            // On a tie in `when`, the slab record holds the near seq.
+            if (!_heap.empty() &&
+                (_heap.top().when < when ||
+                 (_heap.top().when == when &&
+                  _heap.top().seq < _slab[slot].seq)))
+                b = kNoBucket;
+        }
+        if (b == kNoBucket) {
+            if (_heap.empty())
+                return false;
+            when = _heap.top().when;
+            slot = _heap.top().slot;
+        }
+        if (when > limit)
             return false;
-        Record &rec = _slab[top.slot];
-        // Each record has exactly one heap entry, so the seqs always
-        // match here; the record is either pending or a tombstone.
+        if (b != kNoBucket) {
+            Bucket &bk = _buckets[b];
+            bk.head = (bk.head + 1) & (kBucketSlots - 1);
+            if (--bk.fill == 0)
+                _occupied[b / 64] &= ~(std::uint64_t{1} << (b % 64));
+            --_nearSize;
+        } else {
+            _heap.pop();
+        }
+        Record &rec = _slab[slot];
+        // Each record has exactly one entry, so the seqs always match
+        // here; the record is either pending or a tombstone.
         if (rec.state == Record::State::Cancelled) {
             --_cancelled;
-            freeRecord(top.slot);
-            _heap.pop();
+            freeRecord(slot);
             continue;
         }
         // Move the callback out of the slab before running it: the
         // callback may schedule new events, which can grow the slab and
         // recycle this very slot.
         EventFn fn = std::move(rec.fn);
-        freeRecord(top.slot);
-        _heap.pop();
-        _now = top.when;
+        freeRecord(slot);
+        _now = when;
         ++_executed;
         fn();
         return true;
     }
-    return false;
 }
 
 std::size_t

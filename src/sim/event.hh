@@ -8,14 +8,27 @@
  * scheduling (a deterministic tie-break that makes whole-system runs
  * reproducible bit-for-bit).
  *
- * Performance model: scheduling and cancelling are O(log n) / O(1) and
+ * Performance model: scheduling, stepping and cancelling are
  * allocation-free in steady state. Event records live in a slab that is
  * recycled through a free list; callbacks are stored in a small-buffer
  * callable (EventFn) so the common component lambdas (captures of
- * `this` plus a few words) never touch the heap; the binary heap holds
- * only POD entries, so sift operations move 24 bytes, not a
- * std::function. Cancellation tombstones the slab record in O(1) and
- * the entry is dropped lazily when it surfaces at the top of the heap.
+ * `this` plus a few words) never touch the heap. The ordering structure
+ * holds only POD entries that name a slab slot, in two tiers:
+ *  - near: a timing wheel of kBuckets buckets, each kBucketTicks
+ *    (4.096 ns) wide, for events that fall less than one horizon
+ *    (kBuckets * kBucketTicks ticks, about 1.05 us) past now()'s
+ *    bucket. A bucket is a ring of up to kBucketSlots 8-byte entries
+ *    sorted by (when, seq) and popped from its earliest end; an
+ *    occupancy bitmap finds the earliest bucket with std::countr_zero.
+ *    A new event is the latest of its tick, so it lands behind every
+ *    entry of its bucket that is not later than it: schedule and step
+ *    cost O(1) plus the entries it passes, independent of queue depth;
+ *  - far: a binary heap of 24-byte {when, seq, slot} entries, O(log n),
+ *    for events past the horizon and for the overflow of a full bucket.
+ * step() takes the smaller of the two tier heads by (when, seq), so the
+ * execution order is exactly that of a single heap. Cancellation
+ * tombstones the slab record in O(1) and the entry is dropped lazily
+ * when it reaches the head of its tier.
  */
 
 #ifndef PM_SIM_EVENT_HH
@@ -239,6 +252,16 @@ class EventHandle
 class EventQueue
 {
   public:
+    /** Near-tier bucket width: 2^kBucketShift ticks (4.096 ns). */
+    static constexpr unsigned kBucketShift = 12;
+    static constexpr Tick kBucketTicks = Tick{1} << kBucketShift;
+
+    /** Near-tier buckets; the horizon is kBuckets * kBucketTicks. */
+    static constexpr unsigned kBuckets = 256;
+
+    /** Entries a bucket holds before scheduling spills to the heap. */
+    static constexpr unsigned kBucketSlots = 32;
+
     EventQueue() = default;
     EventQueue(const EventQueue &) = delete;
     EventQueue &operator=(const EventQueue &) = delete;
@@ -286,7 +309,7 @@ class EventQueue
     /** Number of pending (non-cancelled) events. */
     [[nodiscard]] std::size_t pending() const
     {
-        return _heap.size() - _cancelled;
+        return _nearSize + _heap.size() - _cancelled;
     }
 
     /** True when no runnable events remain. */
@@ -318,7 +341,7 @@ class EventQueue
     /**
      * Count Pending slab records by walking the whole slab — O(slab).
      * An audit-time cross-check against pending(): the two disagreeing
-     * means the heap and the slab have lost track of each other. Not
+     * means the tiers and the slab have lost track of each other. Not
      * for hot paths.
      */
     std::size_t liveRecords() const;
@@ -341,7 +364,7 @@ class EventQueue
     static_assert(sizeof(Record) <= 64,
                   "slab records should fit one cache line");
 
-    /** POD heap entry; the callback stays in the slab. */
+    /** Far-tier (heap) entry; the callback stays in the slab. */
     struct HeapEntry
     {
         Tick when;
@@ -349,6 +372,7 @@ class EventQueue
         std::uint32_t slot;
     };
 
+    /** Heap comparator: the earliest (when, seq) sits on top. */
     struct Later
     {
         bool
@@ -360,19 +384,67 @@ class EventQueue
         }
     };
 
+    /**
+     * Near-tier entry. The bucket supplies the high bits of `when` and
+     * the slab record the seq, so 8 bytes carry the rest.
+     */
+    struct NearEntry
+    {
+        std::uint32_t offset; //!< when % kBucketTicks.
+        std::uint32_t slot;
+    };
+
+    /** A ring of kBucketSlots entries sorted by (when, seq). */
+    struct Bucket
+    {
+        std::uint8_t head; //!< Ring index of the earliest entry.
+        std::uint8_t fill;
+    };
+
+    static constexpr unsigned kNoBucket = kBuckets;
+    static constexpr unsigned kOccupancyWords = kBuckets / 64;
+    static_assert(kBuckets % 64 == 0 && (kBuckets & (kBuckets - 1)) == 0,
+                  "the occupancy scan needs a power-of-two word multiple");
+    static_assert(kBucketShift <= 32, "offsets are 32-bit");
+    static_assert((kBucketSlots & (kBucketSlots - 1)) == 0 &&
+                      kBucketSlots <= 128,
+                  "bucket rings index with a mask and count in 8 bits");
+
     static constexpr std::uint32_t kNoFree = 0xffffffffu;
 
     std::uint32_t allocRecord();
     void freeRecord(std::uint32_t slot);
+    bool pushNear(Tick when, std::uint32_t slot);
+    unsigned nearHeadBucket() const;
+    Tick nearWhen(unsigned bucket, std::uint32_t offset) const;
 
     Tick _now = 0;
     std::uint64_t _nextSeq = 1; //!< 0 is reserved for invalid handles.
     std::uint64_t _executed = 0;
     std::uint64_t _cancelledTotal = 0;
-    std::size_t _cancelled = 0; //!< Tombstones still in the heap.
+    std::size_t _cancelled = 0; //!< Tombstones still in either tier.
+
+    /** Near tier: per-bucket ring state; the rings are _wheel. */
+    Bucket _buckets[kBuckets] = {};
+    std::uint64_t _occupied[kOccupancyWords] = {}; //!< Bit b: fill > 0.
+    std::size_t _nearSize = 0;
+
+    /** Far tier: a binary heap, earliest (when, seq) on top. */
     std::priority_queue<HeapEntry, std::vector<HeapEntry>, Later> _heap;
     std::vector<Record> _slab;
     std::uint32_t _freeHead = kNoFree;
+
+    /**
+     * The near tier's rings, kBucketSlots entries per bucket, stored
+     * inline. Bucket b holds the events whose bucket number (when >>
+     * kBucketShift) is b modulo kBuckets; every one lies within one
+     * horizon of now()'s bucket. Only entries a ring's head and fill
+     * cover are ever read, so the array has no initialiser: a
+     * default-initialised queue (`EventQueue q;`, or a member without
+     * an initialiser) never writes its 64 KB until events arrive.
+     * Value-initialising one (`EventQueue q{};`) would zero it.
+     */
+    NearEntry _wheel[kBuckets * kBucketSlots];
 };
 
 } // namespace pm::sim

@@ -6,7 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <map>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "sim/clock.hh"
@@ -286,6 +290,171 @@ TEST(EventQueue, StepExecutesExactlyOne)
     EXPECT_TRUE(q.step());
     EXPECT_EQ(fired, 2);
     EXPECT_FALSE(q.step());
+}
+
+TEST(EventQueue, FifoOrderAcrossFullBucketSpill)
+{
+    // Same-tick events past a full near bucket spill to the far heap;
+    // once pops free bucket slots, later same-tick events land back in
+    // the bucket. Execution must still follow schedule order.
+    EventQueue q;
+    std::vector<int> order;
+    const int first = static_cast<int>(EventQueue::kBucketSlots) + 8;
+    int next = 0;
+    for (; next < first; ++next)
+        (void)q.schedule(100, [&order, i = next] { order.push_back(i); });
+    for (int i = 0; i < 4; ++i)
+        EXPECT_TRUE(q.step());
+    for (int i = 0; i < 4; ++i, ++next)
+        (void)q.schedule(100, [&order, i = next] { order.push_back(i); });
+    EXPECT_EQ(q.pending(), static_cast<std::size_t>(next - 4));
+    EXPECT_EQ(q.run(), static_cast<std::uint64_t>(next - 4));
+    ASSERT_EQ(order.size(), static_cast<std::size_t>(next));
+    for (int i = 0; i < next; ++i)
+        EXPECT_EQ(order[i], i);
+    EXPECT_EQ(q.now(), 100u);
+}
+
+TEST(EventQueue, WheelWrapAroundKeepsTimeOrder)
+{
+    // Park now() in the wheel's last bucket, then schedule into the
+    // buckets that wrap to the front of the wheel, the last bucket
+    // inside the horizon, the first past it, and one far beyond.
+    EventQueue q;
+    const Tick w = EventQueue::kBucketTicks;
+    const Tick horizon = w * EventQueue::kBuckets;
+    const Tick start = 3 * horizon - w + 7; // last bucket, third lap
+    std::vector<Tick> ran;
+    const auto at = [&](Tick when) {
+        (void)q.schedule(when, [&ran, &q] { ran.push_back(q.now()); });
+    };
+    at(start);
+    EXPECT_EQ(q.run(), 1u);
+    const Tick base = start - start % w; // now's bucket
+    const std::vector<Tick> whens = {
+        base + horizon + w,     // past the horizon: far tier
+        base + horizon,         // exactly at the horizon: far tier
+        base + horizon - 1,     // last near tick
+        base + w + 5,           // wraps to bucket 0
+        base + 2 * w,           // bucket 1
+        start,                  // now
+        base + w - 1,           // end of now's bucket
+        base + 10 * horizon,    // far beyond
+        base + 3 * w + 1,
+    };
+    for (Tick t : whens)
+        at(t);
+    std::vector<Tick> expect = whens;
+    std::sort(expect.begin(), expect.end());
+    EXPECT_EQ(q.run(), whens.size());
+    ran.erase(ran.begin());
+    EXPECT_EQ(ran, expect);
+
+    // A self-rescheduling chain laps the wheel several times, always
+    // landing in the bucket just behind now's (the wheel's last).
+    int laps = 0;
+    std::function<void()> hop = [&] {
+        if (++laps < 40)
+            (void)q.scheduleIn(horizon - w, [&] { hop(); });
+    };
+    (void)q.schedule(q.now(), [&] { hop(); });
+    q.run();
+    EXPECT_EQ(laps, 40);
+    EXPECT_EQ(q.now(), base + 10 * horizon + 39 * (horizon - w));
+    EXPECT_TRUE(q.empty());
+    EXPECT_EQ(q.liveRecords(), 0u);
+}
+
+TEST(EventQueue, MatchesReferenceOrderUnderRandomChurn)
+{
+    // Random schedule / cancel / step / run(limit) against a plain
+    // sorted (when, seq) model. The deltas cover now(), the current
+    // bucket, later buckets, the horizon edge and the far tier; bursts
+    // overflow one bucket and cancels leave tombstones in both tiers.
+    const Tick w = EventQueue::kBucketTicks;
+    const Tick horizon = w * EventQueue::kBuckets;
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+        SCOPED_TRACE(seed);
+        sim::SplitMix64 rng(seed);
+        EventQueue q;
+        std::map<std::pair<Tick, std::uint64_t>, int> model;
+        std::vector<std::pair<sim::EventHandle, Tick>> handles;
+        std::vector<int> ran, expect;
+        Tick modelNow = 0;
+        int nextId = 0;
+
+        const auto deltaFor = [&](unsigned kind) -> Tick {
+            const Tick now = q.now();
+            const Tick bucketEnd = now - now % w + w;
+            const Tick edge = now - now % w + horizon;
+            switch (kind) {
+              case 0: return 0;
+              case 1: return rng.below(bucketEnd - now); // current bucket
+              case 2: return rng.below(horizon);         // across buckets
+              case 3: return edge - now - rng.below(2);  // horizon edge
+              default: return horizon + rng.below(4 * horizon); // far
+            }
+        };
+        const auto add = [&](Tick delta) {
+            const int id = nextId++;
+            const sim::EventHandle h =
+                q.scheduleIn(delta, [&ran, id] { ran.push_back(id); });
+            model.emplace(std::make_pair(q.now() + delta, h.id()), id);
+            handles.emplace_back(h, q.now() + delta);
+        };
+        const auto modelStep = [&](Tick limit) {
+            if (model.empty() || model.begin()->first.first > limit)
+                return false;
+            modelNow = model.begin()->first.first;
+            expect.push_back(model.begin()->second);
+            model.erase(model.begin());
+            return true;
+        };
+
+        for (int op = 0; op < 6000; ++op) {
+            const unsigned r = static_cast<unsigned>(rng.below(100));
+            if (r < 40) {
+                add(deltaFor(static_cast<unsigned>(rng.below(5))));
+            } else if (r < 44) {
+                // Burst into one bucket, past its capacity.
+                const Tick d = deltaFor(static_cast<unsigned>(rng.below(3)));
+                const int n = static_cast<int>(EventQueue::kBucketSlots) +
+                              static_cast<int>(rng.below(8));
+                for (int i = 0; i < n; ++i)
+                    add(d);
+            } else if (r < 64 && !handles.empty()) {
+                const std::size_t i = rng.below(handles.size());
+                const auto [h, when] = handles[i];
+                const bool live = model.erase({when, h.id()}) > 0;
+                EXPECT_EQ(q.cancel(h), live);
+                EXPECT_FALSE(q.scheduled(h));
+                handles[i] = handles.back();
+                handles.pop_back();
+            } else if (r < 90) {
+                const Tick limit = rng.below(4) == 0
+                                       ? kTickNever
+                                       : q.now() + deltaFor(2);
+                EXPECT_EQ(q.step(limit), modelStep(limit));
+            } else {
+                const Tick limit = q.now() + deltaFor(
+                    static_cast<unsigned>(1 + rng.below(4)));
+                std::uint64_t n = 0;
+                while (modelStep(limit))
+                    ++n;
+                EXPECT_EQ(q.run(limit), n);
+            }
+            ASSERT_EQ(ran, expect) << "op " << op;
+            ASSERT_EQ(q.now(), modelNow) << "op " << op;
+            ASSERT_EQ(q.pending(), model.size()) << "op " << op;
+            ASSERT_EQ(q.liveRecords(), q.pending()) << "op " << op;
+        }
+        while (modelStep(kTickNever)) {}
+        q.run();
+        EXPECT_EQ(ran, expect);
+        EXPECT_EQ(q.now(), modelNow);
+        EXPECT_TRUE(q.empty());
+        EXPECT_EQ(q.liveRecords(), 0u);
+    }
 }
 
 TEST(ClockDomain, PeriodsAreRoundedPicoseconds)

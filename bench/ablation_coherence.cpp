@@ -39,6 +39,7 @@
 #include "msg/probes.hh"
 #include "msg/system.hh"
 #include "node/node.hh"
+#include "sim/json.hh"
 #include "sim/logging.hh"
 
 namespace {
@@ -289,37 +290,32 @@ main()
                 "silent\n");
 
     // ---- BENCH_coherence.json for the CI artifact. ----
-    FILE *json = std::fopen("BENCH_coherence.json", "w");
-    if (json == nullptr) {
+    using sim::json::Value;
+    Value anchors = Value::makeObj();
+    anchors.set("fig9_latency_us", Value::makeNum(a.latUs))
+        .set("fig11_unidir_mbps", Value::makeNum(a.uniMBps))
+        .set("fig12_bidir_mbps", Value::makeNum(a.biMBps));
+    Value matrix = Value::makeArr();
+    for (const MatrixPoint &p : points) {
+        Value row = Value::makeObj();
+        row.set("cpus", Value::makeNum(p.cpus))
+            .set("transport", Value::makeStr(mem::transportName(p.transport)))
+            .set("coherence", Value::makeStr(mem::coherenceName(p.coherence)))
+            .set("mbps", Value::makeNum(p.mbps))
+            .set("addr_occupancy", Value::makeNum(p.addrOcc))
+            .set("dir_occupancy", Value::makeNum(p.dirOcc))
+            .set("bus_upgrades", Value::makeNum(p.upgrades))
+            .set("snoop_probes", Value::makeNum(p.probes))
+            .set("targeted_invals", Value::makeNum(p.targetedInvals));
+        matrix.array.push_back(std::move(row));
+    }
+    Value doc = Value::makeObj();
+    doc.set("anchors", std::move(anchors)).set("matrix", std::move(matrix));
+    if (!sim::json::writeFile("BENCH_coherence.json", doc)) {
         std::fprintf(stderr, "ablation_coherence: cannot write "
                              "BENCH_coherence.json\n");
         return 1;
     }
-    std::fprintf(json,
-                 "{\n"
-                 "  \"anchors\": {\n"
-                 "    \"fig9_latency_us\": %.3f,\n"
-                 "    \"fig11_unidir_mbps\": %.1f,\n"
-                 "    \"fig12_bidir_mbps\": %.1f\n"
-                 "  },\n"
-                 "  \"matrix\": [\n",
-                 a.latUs, a.uniMBps, a.biMBps);
-    for (std::size_t i = 0; i < points.size(); ++i) {
-        const MatrixPoint &p = points[i];
-        std::fprintf(json,
-                     "    {\"cpus\": %u, \"transport\": \"%s\", "
-                     "\"coherence\": \"%s\", \"mbps\": %.1f, "
-                     "\"addr_occupancy\": %.4f, "
-                     "\"dir_occupancy\": %.4f, \"bus_upgrades\": %.0f, "
-                     "\"snoop_probes\": %.0f, "
-                     "\"targeted_invals\": %.0f}%s\n",
-                     p.cpus, mem::transportName(p.transport),
-                     mem::coherenceName(p.coherence), p.mbps, p.addrOcc,
-                     p.dirOcc, p.upgrades, p.probes, p.targetedInvals,
-                     i + 1 < points.size() ? "," : "");
-    }
-    std::fprintf(json, "  ]\n}\n");
-    std::fclose(json);
     std::printf("  wrote BENCH_coherence.json\n");
     return rc;
 }

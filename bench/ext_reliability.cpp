@@ -31,6 +31,7 @@
 #include "msg/probes.hh"
 #include "msg/system.hh"
 #include "sim/fault.hh"
+#include "sim/json.hh"
 #include "sim/logging.hh"
 #include "sweep_support.hh"
 
@@ -177,32 +178,29 @@ main(int argc, char **argv)
     }
 
     // ---- BENCH_reliability.json for the CI artifact. ----
-    FILE *json = std::fopen("BENCH_reliability.json", "w");
-    if (json == nullptr) {
+    using sim::json::Value;
+    Value anchors = Value::makeObj();
+    anchors.set("fig9_latency_us", Value::makeNum(plain.lat))
+        .set("fig11_unidir_mbps", Value::makeNum(plain.bw));
+    Value sweep = Value::makeArr();
+    for (std::size_t i = 0; i < kBers.size(); ++i) {
+        const PointResult &r = report.results[kFirstBer + i];
+        Value row = Value::makeObj();
+        row.set("ber", Value::makeNum(kBers[i]))
+            .set("goodput_mbps", Value::makeNum(r.goodput))
+            .set("retransmits", Value::makeNum(r.retransmits))
+            .set("crc_drops", Value::makeNum(r.crcDrops))
+            .set("nacks", Value::makeNum(r.nacksSent))
+            .set("timeouts", Value::makeNum(r.timeouts));
+        sweep.array.push_back(std::move(row));
+    }
+    Value doc = Value::makeObj();
+    doc.set("anchors", std::move(anchors)).set("ber_sweep", std::move(sweep));
+    if (!sim::json::writeFile("BENCH_reliability.json", doc)) {
         std::fprintf(stderr, "ext_reliability: cannot write "
                              "BENCH_reliability.json\n");
         return 1;
     }
-    std::fprintf(json,
-                 "{\n"
-                 "  \"anchors\": {\n"
-                 "    \"fig9_latency_us\": %.3f,\n"
-                 "    \"fig11_unidir_mbps\": %.1f\n"
-                 "  },\n"
-                 "  \"ber_sweep\": [\n",
-                 plain.lat, plain.bw);
-    for (std::size_t i = 0; i < kBers.size(); ++i) {
-        const PointResult &r = report.results[kFirstBer + i];
-        std::fprintf(json,
-                     "    {\"ber\": %.1e, \"goodput_mbps\": %.1f, "
-                     "\"retransmits\": %.0f, \"crc_drops\": %.0f, "
-                     "\"nacks\": %.0f, \"timeouts\": %.0f}%s\n",
-                     kBers[i], r.goodput, r.retransmits, r.crcDrops,
-                     r.nacksSent, r.timeouts,
-                     i + 1 < kBers.size() ? "," : "");
-    }
-    std::fprintf(json, "  ]\n}\n");
-    std::fclose(json);
     std::printf("\nwrote BENCH_reliability.json\n");
     return 0;
 }

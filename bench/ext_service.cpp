@@ -33,6 +33,7 @@
 #include <thread>
 #include <vector>
 
+#include "sim/json.hh"
 #include "sim/logging.hh"
 #include "sim/parse.hh"
 #include "svc/client.hh"
@@ -156,7 +157,7 @@ runClient(const BenchOptions &opt, const std::string &socketPath,
             ++tally.expectedErrors;
         bool sawExpectedError = false;
         for (bool done = false; !done;) {
-            svc::json::Value frame;
+            sim::json::Value frame;
             if (!conn.recv(frame, err)) {
                 tally.problems.push_back(std::string(id) +
                                          ": recv: " + err);
@@ -165,7 +166,7 @@ runClient(const BenchOptions &opt, const std::string &socketPath,
             const std::string type = frame.str("type");
             if (type == "row") {
                 ++tally.rows;
-                const svc::json::Value *cached = frame.find("cached");
+                const sim::json::Value *cached = frame.find("cached");
                 if (cached != nullptr && cached->boolean)
                     ++tally.cachedRows;
                 std::lock_guard<std::mutex> lock(gRowsMu);
@@ -366,34 +367,27 @@ main(int argc, char **argv)
     for (const auto &p : problems)
         std::fprintf(stderr, "ext_service: FAIL: %s\n", p.c_str());
 
-    FILE *json = std::fopen("BENCH_service.json", "w");
-    if (json == nullptr) {
+    using sim::json::Value;
+    Value doc = Value::makeObj();
+    doc.set("clients", Value::makeNum(opt.clients))
+        .set("jobs_per_client", Value::makeNum(opt.jobsPerClient))
+        .set("self_hosted", Value::makeBool(selfHost))
+        .set("accepted", Value::makeNum(total.accepted))
+        .set("backpressured", Value::makeNum(total.rejected))
+        .set("rows", Value::makeNum(total.rows))
+        .set("cached_rows", Value::makeNum(total.cachedRows))
+        .set("injected_failures", Value::makeNum(total.expectedErrors))
+        .set("error_frames", Value::makeNum(total.errors))
+        .set("distinct_specs", Value::makeNum(distinctSpecs))
+        .set("wall_ms", Value::makeNum(wallMs))
+        .set("rows_per_s", Value::makeNum(rowRate))
+        .set("problems",
+             Value::makeNum(static_cast<double>(problems.size())));
+    if (!sim::json::writeFile("BENCH_service.json", doc)) {
         std::fprintf(stderr,
                      "ext_service: cannot write BENCH_service.json\n");
         return 1;
     }
-    std::fprintf(json,
-                 "{\n"
-                 "  \"clients\": %u,\n"
-                 "  \"jobs_per_client\": %u,\n"
-                 "  \"self_hosted\": %s,\n"
-                 "  \"accepted\": %u,\n"
-                 "  \"backpressured\": %u,\n"
-                 "  \"rows\": %u,\n"
-                 "  \"cached_rows\": %u,\n"
-                 "  \"injected_failures\": %u,\n"
-                 "  \"error_frames\": %u,\n"
-                 "  \"distinct_specs\": %u,\n"
-                 "  \"wall_ms\": %.3f,\n"
-                 "  \"rows_per_s\": %.3f,\n"
-                 "  \"problems\": %zu\n"
-                 "}\n",
-                 opt.clients, opt.jobsPerClient,
-                 selfHost ? "true" : "false", total.accepted,
-                 total.rejected, total.rows, total.cachedRows,
-                 total.expectedErrors, total.errors, distinctSpecs,
-                 wallMs, rowRate, problems.size());
-    std::fclose(json);
     std::printf("  wrote BENCH_service.json\n");
     return problems.empty() ? 0 : 1;
 }

@@ -27,8 +27,16 @@ Cache::Cache(const CacheParams &params)
     if (_p.sizeBytes % (_p.assoc * _p.lineSize) != 0)
         pm_fatal("cache %s: size not divisible by assoc*lineSize",
                  _p.name.c_str());
-    _lines.resize(std::size_t(_numSets) * _p.assoc);
-    _repl.resize(_lines.size());
+    // Zeroed blocks from calloc rather than vector::resize: a resize
+    // runs a store loop in our own code, and where the linker happens
+    // to place that loop moved set-up time by up to a third
+    // (EXPERIMENTS.md "Code placement").
+    const std::size_t n = numLines();
+    _lines.reset(static_cast<Line *>(std::calloc(n, sizeof(Line))));
+    _repl.reset(
+        static_cast<std::uint64_t *>(std::calloc(n, sizeof(std::uint64_t))));
+    if (!_lines || !_repl)
+        pm_fatal("cache %s: cannot allocate %zu lines", _p.name.c_str(), n);
     _stats.add(&hits);
     _stats.add(&misses);
     _stats.add(&evictions);
@@ -166,8 +174,8 @@ Cache::invalidateAll()
 {
     if (_upper)
         _upper->invalidateAll();
-    for (Line &line : _lines)
-        line.state = MesiState::Invalid;
+    for (std::size_t i = 0; i < numLines(); ++i)
+        _lines[i].state = MesiState::Invalid;
 }
 
 void
@@ -279,7 +287,7 @@ Cache::access(const MemReq &req, Tick now)
     Line *line = findLine(lineAddr);
 
     if (line) {
-        touch(static_cast<std::size_t>(line - _lines.data()));
+        touch(static_cast<std::size_t>(line - _lines.get()));
         if (!req.write) {
             ++hits;
             return AccessResult{t, line->state, true};

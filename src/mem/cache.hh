@@ -23,8 +23,9 @@
 #define PM_MEM_CACHE_HH
 
 #include <cstdint>
+#include <cstdlib>
+#include <memory>
 #include <string>
-#include <vector>
 
 #include "mem/policy.hh"
 #include "mem/req.hh"
@@ -142,6 +143,15 @@ class Cache
         Addr tag = 0;
         MesiState state = MesiState::Invalid;
     };
+    // The line array comes zeroed from calloc (Line is an aggregate,
+    // so the block holds Lines without a constructor running).
+    static_assert(MesiState::Invalid == MesiState{});
+
+    /** Deleter for the calloc'd arrays. */
+    struct Free
+    {
+        void operator()(void *p) const { std::free(p); }
+    };
 
     /** SRRIP re-reference prediction values (2-bit). */
     static constexpr std::uint64_t kRrpvLong = 2; //!< Insertion value.
@@ -154,18 +164,19 @@ class Cache
     Cache *_below = nullptr;
     BusTarget *_bus = nullptr;
     Cache *_upper = nullptr;
-    std::vector<Line> _lines; // sets * assoc, row-major by set
+    std::unique_ptr<Line[], Free> _lines; // sets * assoc, row-major by set
     /**
      * Replacement state, one entry per way of `_lines`: the LRU stamp
      * (`_lruClock` at the last touch or fill) or the SRRIP RRPV.
      */
-    std::vector<std::uint64_t> _repl;
+    std::unique_ptr<std::uint64_t[], Free> _repl;
     std::uint64_t _lruClock = 0;
     sim::StatGroup _stats;
 
     /** Validation and state shared by both public constructors. */
     explicit Cache(const CacheParams &params);
 
+    std::size_t numLines() const { return std::size_t(_numSets) * _p.assoc; }
     Addr lineAlign(Addr a) const { return a & ~Addr(_p.lineSize - 1); }
     std::uint32_t setIndex(Addr lineAddr) const;
     Line *findLine(Addr lineAddr);

@@ -50,13 +50,13 @@ Client::connect(const std::string &socketPath, std::string &err)
 }
 
 bool
-Client::send(const json::Value &frame, std::string &err)
+Client::send(const sim::json::Value &frame, std::string &err)
 {
     if (_fd < 0) {
         err = "not connected";
         return false;
     }
-    std::string wire = json::dump(frame);
+    std::string wire = sim::json::dump(frame);
     wire += '\n';
     std::size_t off = 0;
     while (off < wire.size()) {
@@ -74,7 +74,7 @@ Client::send(const json::Value &frame, std::string &err)
 }
 
 bool
-Client::recv(json::Value &frame, std::string &err)
+Client::recv(sim::json::Value &frame, std::string &err)
 {
     if (_fd < 0) {
         err = "not connected";
@@ -87,7 +87,7 @@ Client::recv(json::Value &frame, std::string &err)
             _buf.erase(0, nl + 1);
             if (line.empty())
                 continue;
-            if (!json::parse(line, frame, err)) {
+            if (!sim::json::parse(line, frame, err)) {
                 err = "bad frame from server: " + err;
                 return false;
             }
@@ -112,11 +112,11 @@ Client::recv(json::Value &frame, std::string &err)
 bool
 Client::ping(std::string &err)
 {
-    json::Value ping = json::Value::makeObj();
-    ping.set("type", json::Value::makeStr("ping"));
+    sim::json::Value ping = sim::json::Value::makeObj();
+    ping.set("type", sim::json::Value::makeStr("ping"));
     if (!send(ping, err))
         return false;
-    json::Value frame;
+    sim::json::Value frame;
     if (!recv(frame, err))
         return false;
     if (frame.str("type") != "pong") {
@@ -134,17 +134,17 @@ Client::submitJob(const std::string &id,
 {
     unsigned delayMs = backoffMs;
     for (unsigned attempt = 0;; ++attempt) {
-        json::Value submit = json::Value::makeObj();
-        submit.set("type", json::Value::makeStr("submit"));
-        submit.set("id", json::Value::makeStr(id));
-        json::Value arr = json::Value::makeArr();
+        sim::json::Value submit = sim::json::Value::makeObj();
+        submit.set("type", sim::json::Value::makeStr("submit"));
+        submit.set("id", sim::json::Value::makeStr(id));
+        sim::json::Value arr = sim::json::Value::makeArr();
         for (const std::string &t : argv)
-            arr.array.push_back(json::Value::makeStr(t));
+            arr.array.push_back(sim::json::Value::makeStr(t));
         submit.set("argv", std::move(arr));
         if (!send(submit, err))
             return Submit::Error;
 
-        json::Value verdict;
+        sim::json::Value verdict;
         if (!recv(verdict, err))
             return Submit::Error;
         const std::string type = verdict.str("type");

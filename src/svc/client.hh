@@ -15,7 +15,7 @@
 #include <string>
 #include <vector>
 
-#include "svc/json.hh"
+#include "sim/json.hh"
 
 namespace pm::svc {
 
@@ -35,14 +35,14 @@ class Client
     bool connected() const { return _fd >= 0; }
 
     /** Send one frame (a single line on the wire). */
-    [[nodiscard]] bool send(const json::Value &frame, std::string &err);
+    [[nodiscard]] bool send(const sim::json::Value &frame, std::string &err);
 
     /**
      * Receive the next frame. Blocks. False on EOF, socket error, or
      * a frame that does not parse (a server that emits garbage is a
      * broken server; `err` says which happened).
      */
-    [[nodiscard]] bool recv(json::Value &frame, std::string &err);
+    [[nodiscard]] bool recv(sim::json::Value &frame, std::string &err);
 
     /** Round-trip a ping; true when the server answers pong. */
     [[nodiscard]] bool ping(std::string &err);

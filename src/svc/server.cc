@@ -13,7 +13,7 @@
 #include "sim/context.hh"
 #include "sim/logging.hh"
 #include "sim/sweep.hh"
-#include "svc/json.hh"
+#include "sim/json.hh"
 
 namespace pm::svc {
 
@@ -135,27 +135,27 @@ Server::sendFrame(Conn *conn, const std::string &line)
 void
 Server::handleLine(Conn *conn, const std::string &line)
 {
-    json::Value frame;
+    sim::json::Value frame;
     std::string err;
     auto reject = [&](const std::string &id, const char *reason,
                       const std::string &detail) {
-        json::Value r = json::Value::makeObj();
-        r.set("type", json::Value::makeStr("rejected"));
-        r.set("id", json::Value::makeStr(id));
-        r.set("reason", json::Value::makeStr(reason));
-        r.set("detail", json::Value::makeStr(detail));
-        sendFrame(conn, json::dump(r));
+        sim::json::Value r = sim::json::Value::makeObj();
+        r.set("type", sim::json::Value::makeStr("rejected"));
+        r.set("id", sim::json::Value::makeStr(id));
+        r.set("reason", sim::json::Value::makeStr(reason));
+        r.set("detail", sim::json::Value::makeStr(detail));
+        sendFrame(conn, sim::json::dump(r));
     };
 
-    if (!json::parse(line, frame, err) || !frame.isObj()) {
+    if (!sim::json::parse(line, frame, err) || !frame.isObj()) {
         reject("", "bad_spec", "unparseable frame: " + err);
         return;
     }
     const std::string type = frame.str("type");
     if (type == "ping") {
-        json::Value pong = json::Value::makeObj();
-        pong.set("type", json::Value::makeStr("pong"));
-        sendFrame(conn, json::dump(pong));
+        sim::json::Value pong = sim::json::Value::makeObj();
+        pong.set("type", sim::json::Value::makeStr("pong"));
+        sendFrame(conn, sim::json::dump(pong));
         return;
     }
     if (type != "submit") {
@@ -165,14 +165,14 @@ Server::handleLine(Conn *conn, const std::string &line)
     }
 
     const std::string id = frame.str("id");
-    const json::Value *argv = frame.find("argv");
+    const sim::json::Value *argv = frame.find("argv");
     if (id.empty() || argv == nullptr || !argv->isArr()) {
         reject(id, "bad_spec",
                "submit needs a non-empty \"id\" and an \"argv\" array");
         return;
     }
     std::vector<std::string> tokens;
-    for (const json::Value &t : argv->array) {
+    for (const sim::json::Value &t : argv->array) {
         if (!t.isStr()) {
             reject(id, "bad_spec", "argv elements must be strings");
             return;
@@ -228,11 +228,11 @@ Server::handleLine(Conn *conn, const std::string &line)
         _queuedPoints += points;
     }
 
-    json::Value acc = json::Value::makeObj();
-    acc.set("type", json::Value::makeStr("accepted"));
-    acc.set("id", json::Value::makeStr(id));
-    acc.set("points", json::Value::makeNum(static_cast<double>(points)));
-    sendFrame(conn, json::dump(acc));
+    sim::json::Value acc = sim::json::Value::makeObj();
+    acc.set("type", sim::json::Value::makeStr("accepted"));
+    acc.set("id", sim::json::Value::makeStr(id));
+    acc.set("points", sim::json::Value::makeNum(static_cast<double>(points)));
+    sendFrame(conn, sim::json::dump(acc));
     {
         std::lock_guard<std::mutex> lock(_mu);
         conn->jobs.push_back(raw);
@@ -312,23 +312,23 @@ Server::runOnePoint(Job *job, std::size_t point)
     }
 
     if (ok) {
-        json::Value r = json::Value::makeObj();
-        r.set("type", json::Value::makeStr("row"));
-        r.set("id", json::Value::makeStr(job->id));
-        r.set("point", json::Value::makeNum(static_cast<double>(point)));
+        sim::json::Value r = sim::json::Value::makeObj();
+        r.set("type", sim::json::Value::makeStr("row"));
+        r.set("id", sim::json::Value::makeStr(job->id));
+        r.set("point", sim::json::Value::makeNum(static_cast<double>(point)));
         r.set("label",
-              json::Value::makeStr(job->spec.pointLabel(point)));
-        r.set("data", json::Value::makeStr(row));
-        r.set("cached", json::Value::makeBool(cached));
-        sendFrame(job->conn, json::dump(r));
+              sim::json::Value::makeStr(job->spec.pointLabel(point)));
+        r.set("data", sim::json::Value::makeStr(row));
+        r.set("cached", sim::json::Value::makeBool(cached));
+        sendFrame(job->conn, sim::json::dump(r));
     } else {
-        json::Value r = json::Value::makeObj();
-        r.set("type", json::Value::makeStr("error"));
-        r.set("id", json::Value::makeStr(job->id));
-        r.set("point", json::Value::makeNum(static_cast<double>(point)));
-        r.set("message", json::Value::makeStr(fail.message));
-        r.set("dump", json::Value::makeStr(fail.dump));
-        sendFrame(job->conn, json::dump(r));
+        sim::json::Value r = sim::json::Value::makeObj();
+        r.set("type", sim::json::Value::makeStr("error"));
+        r.set("id", sim::json::Value::makeStr(job->id));
+        r.set("point", sim::json::Value::makeNum(static_cast<double>(point)));
+        r.set("message", sim::json::Value::makeStr(fail.message));
+        r.set("dump", sim::json::Value::makeStr(fail.dump));
+        sendFrame(job->conn, sim::json::dump(r));
         logf("job %s point %zu: panic trapped: %s", job->id.c_str(),
              point, fail.message.c_str());
     }
@@ -355,15 +355,15 @@ Server::runOnePoint(Job *job, std::size_t point)
             _idleCv.notify_all();
     }
     if (jobDone) {
-        json::Value d = json::Value::makeObj();
-        d.set("type", json::Value::makeStr("done"));
-        d.set("id", json::Value::makeStr(job->id));
+        sim::json::Value d = sim::json::Value::makeObj();
+        d.set("type", sim::json::Value::makeStr("done"));
+        d.set("id", sim::json::Value::makeStr(job->id));
         d.set("points",
-              json::Value::makeNum(static_cast<double>(job->points)));
-        d.set("failed", json::Value::makeNum(static_cast<double>(failed)));
+              sim::json::Value::makeNum(static_cast<double>(job->points)));
+        d.set("failed", sim::json::Value::makeNum(static_cast<double>(failed)));
         d.set("cache_hits",
-              json::Value::makeNum(static_cast<double>(hits)));
-        sendFrame(job->conn, json::dump(d));
+              sim::json::Value::makeNum(static_cast<double>(hits)));
+        sendFrame(job->conn, sim::json::dump(d));
         logf("job %s: done (%zu point%s, %zu failed, %zu cached)",
              job->id.c_str(), job->points, job->points == 1 ? "" : "s",
              failed, hits);

@@ -19,7 +19,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <filesystem>
 #include <string>
 
 namespace {
@@ -106,29 +105,6 @@ TEST(PmLint, JsonlMatchesGoldenOutput)
     EXPECT_EQ(res.output, expected);
 }
 
-TEST(PmLint, IndexCacheRoundTripIsInvisible)
-{
-    // Pass-1 caching must be a pure optimisation: a cold run (which
-    // populates the cache) and a warm run (which replays it) both
-    // produce byte-identical output to the uncached run.
-    const std::string cacheDir = PMLINT_CACHE_DIR;
-    std::filesystem::remove_all(cacheDir);
-    const std::string base =
-        run(std::string(PMLINT_BIN) + " " + PMLINT_FIXTURES).output;
-    const RunResult cold = run(std::string(PMLINT_BIN) +
-                               " --index-cache " + cacheDir + " " +
-                               PMLINT_FIXTURES);
-    const RunResult warm = run(std::string(PMLINT_BIN) +
-                               " --index-cache " + cacheDir + " " +
-                               PMLINT_FIXTURES);
-    EXPECT_EQ(cold.exitCode, 1);
-    EXPECT_EQ(warm.exitCode, 1);
-    EXPECT_EQ(cold.output, base);
-    EXPECT_EQ(warm.output, base);
-    // The cache actually wrote entries (one per fixture file).
-    EXPECT_FALSE(std::filesystem::is_empty(cacheDir));
-}
-
 TEST(PmLint, SourceTreeIsCleanAndExitsZero)
 {
     // The zero-finding baseline over src/, bench/, and tools/ is
@@ -157,7 +133,6 @@ TEST(PmLint, HelpDocumentsExitCodes)
     EXPECT_EQ(res.exitCode, 0);
     EXPECT_NE(res.output.find("exit status"), std::string::npos);
     EXPECT_NE(res.output.find("--jsonl"), std::string::npos);
-    EXPECT_NE(res.output.find("--index-cache"), std::string::npos);
 }
 
 } // namespace

@@ -1,7 +1,7 @@
 /**
  * @file
- * Tests for the simulation service layer (src/svc): the wire JSON,
- * the shared JobSpec parser, the content-addressed result cache, and
+ * Tests for the simulation service layer (src/svc): the shared
+ * JobSpec parser, the content-addressed result cache, and
  * the pmsimd server's robustness contract end-to-end over a real
  * AF_UNIX socket — job isolation (a panicking or deadline-tripped job
  * returns a structured error frame with its own forensic dump while
@@ -24,74 +24,11 @@
 #include "svc/cache.hh"
 #include "svc/client.hh"
 #include "svc/jobspec.hh"
-#include "svc/json.hh"
 #include "svc/server.hh"
 
 namespace {
 
 using namespace pm;
-
-// ---- JSON. ----------------------------------------------------------------
-
-TEST(SvcJson, ParsesAndDumpsRoundTrip)
-{
-    svc::json::Value v;
-    std::string err;
-    ASSERT_TRUE(svc::json::parse(
-        R"({"b":true,"n":-3.5,"s":"a\nb","arr":[1,2],"o":{"k":"v"}})", v,
-        err))
-        << err;
-    EXPECT_TRUE(v.isObj());
-    EXPECT_TRUE(v.find("b")->boolean);
-    EXPECT_EQ(v.num("n"), -3.5);
-    EXPECT_EQ(v.str("s"), "a\nb");
-    EXPECT_EQ(v.find("arr")->array.size(), 2u);
-    // Dump is canonical (sorted keys, no whitespace) and re-parses.
-    const std::string text = svc::json::dump(v);
-    svc::json::Value v2;
-    ASSERT_TRUE(svc::json::parse(text, v2, err)) << err;
-    EXPECT_EQ(svc::json::dump(v2), text);
-}
-
-TEST(SvcJson, IntegersDumpWithoutExponent)
-{
-    svc::json::Value v = svc::json::Value::makeNum(1234567.0);
-    EXPECT_EQ(svc::json::dump(v), "1234567");
-}
-
-TEST(SvcJson, EscapesRoundTrip)
-{
-    svc::json::Value v = svc::json::Value::makeStr("tab\there \"q\" \x01");
-    svc::json::Value back;
-    std::string err;
-    ASSERT_TRUE(svc::json::parse(svc::json::dump(v), back, err)) << err;
-    EXPECT_EQ(back.string, v.string);
-}
-
-TEST(SvcJson, SurrogatePairsDecodeToUtf8)
-{
-    svc::json::Value v;
-    std::string err;
-    ASSERT_TRUE(svc::json::parse(R"("😀")", v, err)) << err;
-    EXPECT_EQ(v.string, "\xf0\x9f\x98\x80"); // U+1F600
-    EXPECT_FALSE(svc::json::parse(R"("\ud83d")", v, err));
-}
-
-TEST(SvcJson, RejectsHostileInput)
-{
-    svc::json::Value v;
-    std::string err;
-    // A depth bomb must be rejected, not followed off the stack.
-    std::string bomb(1000, '[');
-    EXPECT_FALSE(svc::json::parse(bomb, v, err));
-    EXPECT_NE(err.find("deep"), std::string::npos);
-    EXPECT_FALSE(svc::json::parse("{} trailing", v, err));
-    EXPECT_FALSE(svc::json::parse("{\"a\":}", v, err));
-    EXPECT_FALSE(svc::json::parse("", v, err));
-    // Errors carry a byte offset for the sender's benefit.
-    EXPECT_FALSE(svc::json::parse("[1,2,xyz]", v, err));
-    EXPECT_NE(err.find("at byte"), std::string::npos);
-}
 
 // ---- JobSpec parsing. -----------------------------------------------------
 
@@ -504,7 +441,7 @@ runJob(const std::string &socketPath, const std::string &id,
         return res;
     }
     for (;;) {
-        svc::json::Value frame;
+        sim::json::Value frame;
         if (!client.recv(frame, res.err))
             return res;
         const std::string type = frame.str("type");

@@ -130,7 +130,7 @@ main(int argc, char **argv)
     std::size_t nextPrint = 0;
     bool anyFailed = false;
     for (;;) {
-        svc::json::Value frame;
+        sim::json::Value frame;
         if (!client.recv(frame, err)) {
             std::fprintf(stderr, "pmsimc: %s\n", err.c_str());
             return 1;

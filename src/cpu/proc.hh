@@ -86,9 +86,6 @@ class Proc
     /** Stall for `n` core cycles. */
     void stallCycles(Cycles n) { _time += _clk.cycles(n); }
 
-    /** Stall for an absolute number of ticks. */
-    void stallTicks(Tick t) { _time += t; }
-
     /** One uncached single-beat PIO transfer (CPU <-> I/O port). */
     void pioBeat();
 

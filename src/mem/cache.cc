@@ -160,16 +160,6 @@ Cache::promoteToModified(Addr lineAddr)
 }
 
 void
-Cache::invalidateLine(Addr lineAddr)
-{
-    if (_upper)
-        _upper->invalidateLine(lineAddr);
-    Line *line = findLine(lineAddr);
-    if (line)
-        line->state = MesiState::Invalid;
-}
-
-void
 Cache::invalidateAll()
 {
     if (_upper)

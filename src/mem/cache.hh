@@ -112,9 +112,6 @@ class Cache
      */
     void promoteToModified(Addr lineAddr);
 
-    /** Invalidate one line functionally (back-invalidation). */
-    void invalidateLine(Addr lineAddr);
-
     /** Invalidate the entire cache (between experiment phases). */
     void invalidateAll();
 

@@ -4,7 +4,6 @@
 
 #include "net/symbol.hh"
 #include "sim/logging.hh"
-#include "sim/trace.hh"
 
 namespace pm::msg {
 
@@ -331,8 +330,7 @@ PmComm::finishMessage()
         // Wire damage erased the whole frame, header included; nothing
         // to NACK (unknown source) — the sender's timeout recovers.
         ++crcDrops;
-        pm_trace(_proc.time(), "driver",
-                 "node%u: dropped headerless frame", _nodeId);
+        _ring.push(_queue.now(), "drop-headerless", info.words);
         return;
     }
 
@@ -344,9 +342,7 @@ PmComm::finishMessage()
     if (!info.crcOk) {
         _proc.stallCycles(_costs.protocolCheck);
         ++crcDrops;
-        pm_trace(_proc.time(), "driver",
-                 "node%u: CRC drop (%zu words, type %u from %u)",
-                 _nodeId, cur.words.size(), h.type, h.src);
+        _ring.push(_queue.now(), "crc-drop", h.src, cur.words.size());
         // Only trust the header enough to route a NACK when it is at
         // least plausible; otherwise stay silent and let the sender's
         // timeout do the work.
@@ -357,9 +353,7 @@ PmComm::finishMessage()
     if (!plausible) {
         _proc.stallCycles(_costs.protocolCheck);
         ++crcDrops;
-        pm_trace(_proc.time(), "driver",
-                 "node%u: dropped implausible header %016llx", _nodeId,
-                 (unsigned long long)cur.header);
+        _ring.push(_queue.now(), "drop-implausible", cur.header);
         return;
     }
 
@@ -375,8 +369,7 @@ PmComm::finishMessage()
         const auto it = _tx.find(h.src);
         if (it != _tx.end() && !it->second.dead &&
             !it->second.unacked.empty()) {
-            pm_trace(_proc.time(), "driver",
-                     "node%u: NACK from %u, rewinding", _nodeId, h.src);
+            _ring.push(_queue.now(), "nack-rewind", h.src, h.ack);
             rewind(h.src, it->second);
             kick();
         }
@@ -398,9 +391,7 @@ PmComm::finishMessage()
         // sender stops retransmitting.
         _proc.stallCycles(_costs.protocolCheck);
         ++duplicateDiscards;
-        pm_trace(_proc.time(), "driver",
-                 "node%u: duplicate seq %u from %u discarded", _nodeId,
-                 h.seq, h.src);
+        _ring.push(_queue.now(), "duplicate", h.src, h.seq);
         queueControl(kAck, h.src);
         return;
     }
@@ -408,9 +399,7 @@ PmComm::finishMessage()
         // A gap: an earlier message of the go-back-N window was lost.
         _proc.stallCycles(_costs.protocolCheck);
         ++outOfOrderDiscards;
-        pm_trace(_proc.time(), "driver",
-                 "node%u: out-of-order seq %u (expect %u) from %u",
-                 _nodeId, h.seq, peer.expect, h.src);
+        _ring.push(_queue.now(), "out-of-order", h.src, h.seq);
         queueControl(kNack, h.src);
         return;
     }
@@ -418,9 +407,6 @@ PmComm::finishMessage()
     ++messagesReceived;
     _ring.push(_queue.now(), "recvd", h.src, h.seq);
     noteDelivered(h.src);
-    pm_trace(_proc.time(), "driver",
-             "node%u: received %zu-word message seq %u from %u",
-             _nodeId, cur.words.size(), h.seq, h.src);
     deliver(std::move(cur.words));
 }
 
@@ -590,9 +576,6 @@ PmComm::retransTimerFired(unsigned dst)
     ++timeouts;
     _ring.push(_queue.now(), "timeout", dst, peer.strikes + 1);
     peer.backoff = std::min(peer.backoff + 1, 12u);
-    pm_trace(_queue.now(), "driver",
-             "node%u: retransmit timeout to %u (strike %u, backoff %u)",
-             _nodeId, dst, peer.strikes + 1, peer.backoff);
     strike(dst, peer);
     if (peer.dead)
         return;
@@ -631,9 +614,6 @@ PmComm::fail(unsigned dst, TxPeer &peer)
             ++it;
     }
     ++deliveryFailures;
-    pm_trace(_queue.now(), "driver",
-             "node%u: delivery to %u FAILED at seq %u", _nodeId, dst,
-             seq);
     if (_onFailure) {
         _onFailure(dst, seq, abandoned);
         return;
@@ -727,18 +707,22 @@ PmComm::serviceSend()
         space > 0) {
         _proc.pioBeat();
         _ni.pushSend(net::Symbol::makeClose(), _proc.time());
+        const char *what = "sent";
         if (op.control) {
-            if (op.ctrlType == kAck)
+            if (op.ctrlType == kAck) {
                 ++acksSent;
-            else
+                what = "sent-ack";
+            } else {
                 ++nacksSent;
+                what = "sent-nack";
+            }
         } else if (op.retransmit) {
             ++retransmits;
-            _ring.push(_queue.now(), "retransmit", op.dst, op.seq);
+            what = "retransmit";
         } else {
             ++messagesSent;
-            _ring.push(_queue.now(), "sent", op.dst, op.seq);
         }
+        _ring.push(_queue.now(), what, op.dst, op.seq);
         if (!op.control) {
             TxPeer &peer = _tx[op.dst];
             for (auto &entry : peer.unacked) {
@@ -749,11 +733,6 @@ PmComm::serviceSend()
             }
             armRetransTimer(op.dst, peer);
         }
-        pm_trace(_proc.time(), "driver",
-                 "node%u: sent %s seq %u to node %u", _nodeId,
-                 op.control ? (op.ctrlType == kAck ? "ACK" : "NACK")
-                            : (op.retransmit ? "retransmit" : "message"),
-                 op.seq, op.dst);
         SendOp done = std::move(_sends.front());
         _sends.pop_front();
         if (done.onDone)

@@ -323,7 +323,8 @@ class PmComm : public Resettable, public sim::health::Reporter
     DeliveryFailureFn _onFailure;
     sim::EventHandle _engineEvent; //!< Live while the engine is queued.
     Tick _lastProgress = 0; //!< Last tick the engine moved anything.
-    sim::health::EventRing _ring; //!< Recent protocol events.
+    /** Recent protocol events. */
+    sim::health::EventRing _ring{_stats.name(), sim::kTraceDriver};
 
     void kick();
     void scheduleEngine(Tick when);

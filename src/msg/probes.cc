@@ -113,9 +113,8 @@ streamOneWay(System &sys, unsigned a, unsigned b, std::uint64_t bytes,
     PmComm commB(sys, b);
     const auto payload = makePayload(bytes, bytes + 17);
 
-    // Start on the machine clock (all queues equal after the reset);
-    // finish on the receiver's clock, read inside its last completion
-    // callback — the tick the classic step loop would stop at.
+    // Start on the machine clock right after the reset; finish at the
+    // tick of the receiver's last completion callback.
     const Tick started = sys.simNow();
     Tick finished = started;
     unsigned received = 0;
@@ -169,9 +168,8 @@ measureBidirectionalMBps(System &sys, unsigned a, unsigned b,
     const auto payloadA = makePayload(bytes, bytes + 29);
     const auto payloadB = makePayload(bytes, bytes + 31);
 
-    // Per-endpoint counters and finish ticks: each is written only
-    // from its own queue's events, and the later finisher defines the
-    // interval — exactly the tick the classic step loop stopped at.
+    // Per-endpoint counters and finish ticks; the later finisher
+    // defines the interval.
     const Tick started = sys.simNow();
     Tick finishedA = started;
     Tick finishedB = started;

@@ -9,10 +9,12 @@ System::System(const SystemParams &params)
     : _p(params),
       _health(_queue, _ctx)
 {
-    // Quiet machines build quiet: the inform() gate carries over from
-    // whatever context the constructing code runs under (a bench that
-    // silenced inform, a sweep worker's options).
+    // Quiet machines build quiet: the inform() gate and the trace
+    // flags carry over from whatever context the constructing code
+    // runs under (a bench that silenced inform, a sweep worker's own
+    // default context, a test's traced context).
     _ctx.setInformEnabled(sim::Context::current().informEnabled());
+    _ctx.setTraceFlags(sim::Context::current().traceFlags());
     sim::Context::Scope scope(_ctx);
     _fabric = std::make_unique<fabric::Fabric>(_p.fabric, _queue);
     _fabric->registerHealth(_health);
@@ -67,8 +69,6 @@ System::snapshotAuditBaselines()
 void
 System::auditQuiescent(const char *where)
 {
-    if (!_health.auditsEnabled())
-        return;
     sim::Context::Scope scope(_ctx);
     double sent = 0.0;
     double received = 0.0;

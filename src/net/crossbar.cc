@@ -1,7 +1,6 @@
 #include "net/crossbar.hh"
 
 #include "sim/logging.hh"
-#include "sim/trace.hh"
 
 namespace pm::net {
 
@@ -142,8 +141,6 @@ Crossbar::pump(unsigned i)
         in.lastMove = _queue.now();
         ++routesEstablished;
         _ring.push(_queue.now(), "route", i, o);
-        pm_trace(_queue.now(), "xbar", "%s: route in%u -> out%u",
-                 _p.name.c_str(), i, o);
         schedulePumpAt(i, _queue.now() + _p.routeLatency);
         return;
     }
@@ -170,8 +167,6 @@ Crossbar::pump(unsigned i)
         // Tear down the connection and wake inputs waiting for this
         // output, in arrival order.
         const unsigned o = static_cast<unsigned>(in.target);
-        pm_trace(_queue.now(), "xbar", "%s: close in%u -> out%u",
-                 _p.name.c_str(), i, o);
         in.target = -1;
         out.owner = -1;
         _ring.push(_queue.now(), "close", i, o);
@@ -181,7 +176,6 @@ Crossbar::pump(unsigned i)
             _in[w].waiting = false;
             schedulePump(w);
         }
-        (void)o;
     }
 
     if (!in.fifo->empty())
@@ -278,6 +272,9 @@ Crossbar::dumpState(std::ostream &os) const
            << " inflight=" << out.tx->inflight() << "\n";
     }
     _ring.dump(os);
+    for (const Output &out : _out)
+        if (out.tx)
+            out.tx->dumpFaults(os);
 }
 
 } // namespace pm::net

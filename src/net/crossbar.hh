@@ -112,7 +112,8 @@ class Crossbar : public sim::health::Reporter
     std::vector<Input> _in;
     std::vector<Output> _out;
     sim::StatGroup _stats;
-    sim::health::EventRing _ring; //!< Recent routes/closes/parks.
+    /** Recent routes, closes and parks. */
+    sim::health::EventRing _ring{_p.name, sim::kTraceXbar};
 
     /** Try to make progress on input `i` (idempotent). */
     void pump(unsigned i);

@@ -107,7 +107,7 @@ class LinkTx
         bytesSent += sym.wireBytes();
         Symbol out = sym;
         if (_site && sym.kind == SymKind::Data &&
-            _site->filterWord(out.data))
+            _site->filterWord(out.data, now))
             return _busyUntil;
         const Tick arrival = now + tx + _p.latency;
         ++_inflight;
@@ -121,6 +121,14 @@ class LinkTx
             _sink->push(out, _queue.now());
         });
         return _busyUntil;
+    }
+
+    /** Forensic dump: this direction's recent fault events, if any. */
+    void
+    dumpFaults(std::ostream &os) const
+    {
+        if (_site)
+            _site->dumpEvents(os);
     }
 
     /** Subscribe to receiver-space availability (stop released). */

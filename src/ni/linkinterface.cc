@@ -1,7 +1,6 @@
 #include "ni/linkinterface.hh"
 
 #include "sim/logging.hh"
-#include "sim/trace.hh"
 
 namespace pm::ni {
 
@@ -281,9 +280,6 @@ LinkInterface::RxPort::push(const net::Symbol &sym, Tick)
         ni._ring.push(ni._queue.now(), ok ? "msg-ok" : "msg-crc-bad",
                       ni._messages, ni._rxMsgWords);
         ni._rxMsgWords = 0;
-        pm_trace(ni._queue.now(), "ni", "%s: message %llu complete, crc %s",
-                 ni._p.name.c_str(), (unsigned long long)ni._messages,
-                 ok ? "ok" : "BAD");
         ni.notifyRxSpace();
         if (ni._recvActivity)
             ni._recvActivity();
@@ -351,6 +347,8 @@ LinkInterface::dumpState(std::ostream &os) const
        << " received=" << wordsReceived.value()
        << " crcErrors=" << crcErrors.value() << "\n";
     _ring.dump(os);
+    if (_tx)
+        _tx->dumpFaults(os);
 }
 
 void

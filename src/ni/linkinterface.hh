@@ -186,7 +186,8 @@ class LinkInterface : public sim::health::Reporter
     bool _txAnyData = false;
     Crc32 _crcTx;
     Tick _lastTx = 0; //!< Last tick the send side made progress.
-    sim::health::EventRing _ring; //!< Recent message completions.
+    /** Recent message completions. */
+    sim::health::EventRing _ring{_p.name, sim::kTraceNi};
 
     // Receive side.
     RxPort _rx{*this};

@@ -28,15 +28,11 @@ class ClockDomain
   public:
     /** @param mhz Frequency in MHz; must be positive. */
     explicit ClockDomain(double mhz)
-        : _mhz(mhz),
-          _period(static_cast<Tick>(1e6 / mhz + 0.5))
+        : _period(static_cast<Tick>(1e6 / mhz + 0.5))
     {
         if (mhz <= 0.0)
             pm_fatal("clock frequency must be positive (got %f MHz)", mhz);
     }
-
-    /** Frequency in MHz as configured. */
-    double mhz() const { return _mhz; }
 
     /** Clock period in ticks (picoseconds). */
     Tick period() const { return _period; }
@@ -56,7 +52,6 @@ class ClockDomain
     }
 
   private:
-    double _mhz;
     Tick _period;
 };
 

@@ -1,7 +1,10 @@
 #include "sim/context.hh"
 
+#include <bit>
 #include <cstdio>
 #include <cstdlib>
+#include <iterator>
+#include <string_view>
 
 #include "sim/logging.hh"
 
@@ -22,9 +25,48 @@ thread_local Context *tlsCurrent = nullptr;
 // pmlint: static-ok(per-thread panic-trap nesting depth)
 thread_local unsigned tlsTrapDepth = 0;
 
+/** PM_TRACE names of the TraceFlag bits, lowest bit first. */
+constexpr const char *kTraceNames[] = {"xbar", "ni", "driver", "fault"};
+static_assert(kTraceAll == (1u << std::size(kTraceNames)) - 1);
+
+/**
+ * The TraceFlag bits named by PM_TRACE; unknown names are ignored.
+ * Tracing only gates diagnostic output and never feeds back into
+ * simulated state, so reading the environment cannot break run-to-run
+ * determinism of results.
+ */
+unsigned
+traceFlagsFromEnv()
+{
+    // pmlint: banned-ok(trace gating read once per thread's default context)
+    const char *env = std::getenv("PM_TRACE");
+    unsigned flags = 0;
+    std::string_view rest = env ? env : "";
+    while (!rest.empty()) {
+        const std::size_t comma = rest.find(',');
+        const std::string_view name = rest.substr(0, comma);
+        rest = comma == rest.npos ? "" : rest.substr(comma + 1);
+        if (name == "all")
+            flags |= kTraceAll;
+        for (std::size_t i = 0; i < std::size(kTraceNames); ++i)
+            if (name == kTraceNames[i])
+                flags |= 1u << i;
+    }
+    return flags;
+}
+
 } // namespace
 
-Context::Context() : _owner(std::this_thread::get_id()) {}
+const char *
+traceFlagName(unsigned flag)
+{
+    return kTraceNames[std::countr_zero(flag)];
+}
+
+Context::Context(unsigned traceFlags)
+    : _trace(traceFlags), _owner(std::this_thread::get_id())
+{
+}
 
 Context::~Context() = default;
 
@@ -111,13 +153,20 @@ Context::setInformEnabled(bool enabled)
     _inform = enabled;
 }
 
+void
+Context::setTraceFlags(unsigned flags)
+{
+    assertOwner("setTraceFlags");
+    _trace = flags;
+}
+
 Context &
 Context::current()
 {
     if (tlsCurrent)
         return *tlsCurrent;
     // pmlint: static-ok(per-thread default context; the isolation boundary itself)
-    thread_local Context defaultContext;
+    thread_local Context defaultContext{traceFlagsFromEnv()};
     return defaultContext;
 }
 
@@ -125,7 +174,8 @@ Context::Scope::Scope(Context &ctx) : _prev(tlsCurrent)
 {
     // Binding is deliberately NOT owner-asserted: it only swaps this
     // thread's current() pointer, mutating nothing inside the context.
-    // All context *mutations* (hooks, inform gate) stay owner-asserted.
+    // All context *mutations* (hooks, inform and trace gates) stay
+    // owner-asserted.
     tlsCurrent = &ctx;
 }
 

@@ -24,6 +24,11 @@
  *  - A Context is single-writer: it asserts that every mutation comes
  *    from the thread that created it. The sweep harness (sim/sweep.hh)
  *    relies on this to run N Systems on N threads with zero sharing.
+ *  - A Context carries the trace flags that decide which component
+ *    EventRings (sim/health.hh) also narrate to stderr. A thread's
+ *    default Context takes them from PM_TRACE, a comma-separated list
+ *    of xbar, ni, driver, fault or all; a System copies its creator's,
+ *    so each sweep point traces on its own and tests can set them.
  *
  * PanicTrap converts panics on the calling thread into PanicError
  * exceptions (message + captured dump) instead of abort(); the sweep
@@ -72,11 +77,24 @@ class PanicError : public std::runtime_error
     std::string _dump;
 };
 
+/** Trace flags, one bit per component family (Context::traces). */
+enum TraceFlag : unsigned {
+    kTraceXbar = 1u << 0,   //!< Crossbar route setup, parks, closes.
+    kTraceNi = 1u << 1,     //!< NI message completion and CRC verdict.
+    kTraceDriver = 1u << 2, //!< Driver sends, receives, retransmits.
+    kTraceFault = 1u << 3,  //!< Injected corruption, drops, link-down.
+    kTraceAll = (1u << 4) - 1,
+};
+
+/** PM_TRACE name of one flag bit: "xbar", "ni", "driver" or "fault". */
+const char *traceFlagName(unsigned flag);
+
 /** Per-simulation ambient state; see the file comment. */
 class Context
 {
   public:
-    Context();
+    /** @param traceFlags Initial TraceFlag bits (none by default). */
+    explicit Context(unsigned traceFlags = 0);
     ~Context();
 
     Context(const Context &) = delete;
@@ -111,6 +129,11 @@ class Context
     /** inform() gate; a fresh System inherits its creator's setting. */
     bool informEnabled() const { return _inform; }
     void setInformEnabled(bool enabled);
+
+    /** True when any of `flags` traces; a System copies its creator's. */
+    bool traces(unsigned flags) const { return (_trace & flags) != 0; }
+    unsigned traceFlags() const { return _trace; }
+    void setTraceFlags(unsigned flags);
 
     /**
      * The calling thread's active context: the innermost live Scope,
@@ -150,6 +173,7 @@ class Context
 
     std::vector<Hook> _hooks;
     bool _inform = true;
+    unsigned _trace = 0; //!< TraceFlag bits.
     bool _dumping = false; //!< Recursive-panic guard (per context).
     std::thread::id _owner; //!< Creating thread; sole legal writer.
 };

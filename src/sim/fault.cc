@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "sim/logging.hh"
-#include "sim/trace.hh"
 
 namespace pm::sim {
 
@@ -83,12 +82,11 @@ FaultSite::FaultSite(FaultModel &model, std::string name, FaultConfig cfg,
 }
 
 bool
-FaultSite::filterWord(std::uint64_t &word)
+FaultSite::filterWord(std::uint64_t &word, Tick now)
 {
     if (_cfg.drop > 0.0 && _rng.chance(_cfg.drop)) {
         ++_model.wordsDropped;
-        pm_trace(0, "fault", "%s: dropped word %016llx", _name.c_str(),
-                 (unsigned long long)word);
+        _ring.push(now, "drop-word", word);
         return true;
     }
     if (_pAnyFlip > 0.0 && _rng.chance(_pAnyFlip)) {
@@ -97,8 +95,7 @@ FaultSite::filterWord(std::uint64_t &word)
             word ^= 1ull << _rng.below(64);
             ++_model.bitsFlipped;
         } while (_rng.chance(_pAnyFlip)); // rare multi-bit hit
-        pm_trace(0, "fault", "%s: corrupted word -> %016llx",
-                 _name.c_str(), (unsigned long long)word);
+        _ring.push(now, "corrupt-word", word);
     }
     return false;
 }
@@ -123,10 +120,18 @@ FaultSite::upAt(Tick now)
         _lastBlockEnd = up;
         ++_model.downStalls;
         _model.linkDowntime.inc(static_cast<double>(up - now));
-        pm_trace(now, "fault", "%s: link down until %llu", _name.c_str(),
-                 (unsigned long long)up);
+        _ring.push(now, "link-down", up);
     }
     return up;
+}
+
+void
+FaultSite::dumpEvents(std::ostream &os) const
+{
+    if (_ring.size() == 0)
+        return;
+    os << "  fault site " << _name << ":\n";
+    _ring.dump(os);
 }
 
 // ---- FaultModel. --------------------------------------------------------

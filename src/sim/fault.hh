@@ -30,6 +30,7 @@
 #include <utility>
 #include <vector>
 
+#include "sim/health.hh"
 #include "sim/random.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
@@ -73,15 +74,19 @@ class FaultSite
     /**
      * Pass one 64-bit data word through the site.
      * @param word Corrupted in place when a bit error strikes.
+     * @param now The queue's current tick, for the event record.
      * @return true when the word is dropped entirely.
      */
-    bool filterWord(std::uint64_t &word);
+    bool filterWord(std::uint64_t &word, Tick now);
 
     /**
      * First tick >= `now` at which the channel is up. Returns `now`
      * itself outside every down window.
      */
     Tick upAt(Tick now);
+
+    /** Recent drops, corruptions and down stalls, oldest first. */
+    void dumpEvents(std::ostream &os) const;
 
   private:
     friend class FaultModel;
@@ -94,6 +99,7 @@ class FaultSite
     SplitMix64 _rng;
     double _pAnyFlip = 0.0; //!< P(>= 1 of 64 bits flips) from ber.
     Tick _lastBlockEnd = 0; //!< Dedup for the downtime accounting.
+    health::EventRing _ring{_name, kTraceFault};
 };
 
 /**

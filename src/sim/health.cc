@@ -20,6 +20,14 @@ vformat(const char *fmt, va_list args)
     return std::string(buf);
 }
 
+/** One ring entry: "[tick T] what a=A b=B". */
+void
+writeEntry(std::ostream &os, const EventRing::Entry &e)
+{
+    os << "[tick " << e.tick << "] " << e.what << " a=" << e.a
+       << " b=" << e.b << "\n";
+}
+
 } // namespace
 
 void
@@ -61,10 +69,20 @@ EventRing::dump(std::ostream &os, const char *indent) const
     // Oldest-first: once full, _head marks the oldest entry.
     const std::size_t n = _entries.size();
     for (std::size_t i = 0; i < n; ++i) {
-        const Entry &e = _entries[(_head + i) % n];
-        os << indent << "[tick " << e.tick << "] " << e.what << " a=" << e.a
-           << " b=" << e.b << "\n";
+        os << indent;
+        writeEntry(os, _entries[(_head + i) % n]);
     }
+}
+
+void
+EventRing::trace(const Entry &e) const
+{
+    std::ostringstream os;
+    os << "[" << traceFlagName(_flag) << "] " << *_owner << ": ";
+    writeEntry(os, e);
+    // One write per line, so sweep threads tracing at once never
+    // interleave within a line.
+    std::fputs(os.str().c_str(), stderr);
 }
 
 Monitor::Monitor(EventQueue &queue, Context &context)
@@ -142,8 +160,6 @@ Monitor::scan()
 void
 Monitor::runAudit(Auditor::Point point, const char *where)
 {
-    if (!_auditsEnabled)
-        return;
     Auditor audit(point);
     for (Reporter *r : _reporters) {
         audit.setComponent(r->healthName());

@@ -32,6 +32,12 @@
  *    tables, seq/ack windows, pending-event census) to stderr and an
  *    optional dump file before aborting.
  *
+ * The EventRing is also the simulator's one tracing path: each
+ * component event is recorded once, and when the current sim::Context
+ * traces the ring's flag (PM_TRACE=xbar,ni,driver,fault or all) that
+ * same record is printed to stderr as "[flag] owner: [tick T] what
+ * a=A b=B", the line a dump shows for it.
+ *
  * Everything rides the existing EventQueue (the watchdog is one
  * periodic event) and iterates reporters in registration order, so
  * two-run bit-for-bit determinism is preserved.
@@ -163,10 +169,12 @@ class Reporter
 };
 
 /**
- * A bounded ring of recent component events for forensic dumps.
+ * A component's one event recorder: a bounded ring of recent events
+ * for forensic dumps that also narrates each event to stderr while the
+ * current sim::Context traces the ring's flag.
  *
  * Entries are POD — a tick, a static string, and two payload words —
- * so pushing is cheap enough for per-message (not per-symbol) paths.
+ * so recording is cheap enough for per-message (not per-symbol) paths.
  * The `what` pointer must outlive the ring; string literals only.
  */
 class EventRing
@@ -180,25 +188,41 @@ class EventRing
         std::uint64_t b;
     };
 
-    explicit EventRing(std::size_t capacity = 32) : _capacity(capacity) {}
+    /**
+     * A 32-entry ring that traces under `flag` (one sim::TraceFlag bit)
+     * as `owner`, whose storage must outlive the ring.
+     */
+    EventRing(const std::string &owner, unsigned flag)
+        : _owner(&owner), _flag(flag)
+    {
+    }
 
-    /** Append an entry, evicting the oldest once full. */
+    /** A ring that never traces. */
+    explicit EventRing(std::size_t capacity) : _capacity(capacity) {}
+
+    /**
+     * Record an event at `tick` (the queue's now()): append it, evicting
+     * the oldest once full, and trace it if the flag is on.
+     */
     void
     push(Tick tick, const char *what, std::uint64_t a = 0,
          std::uint64_t b = 0)
     {
+        const Entry e{tick, what, a, b};
         if (_entries.size() < _capacity) {
-            _entries.push_back(Entry{tick, what, a, b});
+            _entries.push_back(e);
         } else {
-            _entries[_head] = Entry{tick, what, a, b};
+            _entries[_head] = e;
             _head = (_head + 1) % _capacity;
         }
+        if (_flag && Context::current().traces(_flag))
+            trace(e);
     }
 
     /** Entries currently held. */
     std::size_t size() const { return _entries.size(); }
 
-    /** Write entries oldest-first, one per line. */
+    /** Write entries oldest-first, one "[tick T] what a=A b=B" per line. */
     void dump(std::ostream &os, const char *indent = "    ") const;
 
     void
@@ -209,9 +233,14 @@ class EventRing
     }
 
   private:
-    std::size_t _capacity;
+    /** Print "[flag] owner: " and the entry's dump line to stderr. */
+    void trace(const Entry &e) const;
+
+    std::size_t _capacity = 32;
     std::size_t _head = 0; //!< Oldest entry once the ring is full.
     std::vector<Entry> _entries;
+    const std::string *_owner = nullptr;
+    unsigned _flag = 0; //!< sim::TraceFlag bit; 0 never traces.
 };
 
 /**
@@ -252,14 +281,9 @@ class Monitor
     /** True while a watchdog scan is scheduled. */
     bool watchdogEnabled() const { return _queue.scheduled(_scanEvent); }
 
-    /** Enable/disable phase-boundary audits (default on). */
-    void setAuditsEnabled(bool enabled) { _auditsEnabled = enabled; }
-    bool auditsEnabled() const { return _auditsEnabled; }
-
     /**
      * Run all reporter audits plus the event-slab census check;
      * panics with every failure if any invariant does not hold.
-     * No-op while audits are disabled.
      * @param point How quiet the machine claims to be.
      * @param where Phase-boundary name for the failure message.
      */
@@ -290,7 +314,6 @@ class Monitor
     Tick _interval = 0;
     Tick _deadline = 0;
     EventHandle _scanEvent;
-    bool _auditsEnabled = true;
     std::string _dumpFile;
 
     StatGroup _stats{"health"};

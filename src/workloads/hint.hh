@@ -95,8 +95,6 @@ class Hint : public cpu::Workload
     static double qualityFor(std::uint64_t m);
 
     void charge(cpu::Proc &proc, std::uint64_t ops) const;
-    void beginSize(cpu::Proc &proc);
-    void finishSize(cpu::Proc &proc);
 
     static std::uint64_t bitReverse(std::uint64_t v, unsigned bits);
 };
